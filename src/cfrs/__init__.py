@@ -33,7 +33,7 @@ from .containment import (
     transitive_closure,
     width,
 )
-from .errors import BudgetError, CfrsError, ConflictError, MatrixError
+from .errors import BudgetError, CfrsError, ConflictError, InternalError, MatrixError
 from .instances import (
     CubicGraph,
     brute_force_vertex_cover,
@@ -90,7 +90,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryMatrix", "Branching", "BudgetError", "CfrsError", "ColumnReduction",
     "ConflictError", "ConflictWitness", "ContainmentDigraph", "CubicGraph",
-    "Dag", "MatrixError", "PhyloTree", "RowSplit", "SolveReport", "Verdict",
+    "Dag", "InternalError", "MatrixError", "PhyloTree", "RowSplit",
+    "SolveReport", "Verdict",
     "approx_distinct_2", "approx_height", "approx_width", "branching_split",
     "branching_state_count", "brute_force_max_tower", "brute_force_min_price",
     "brute_force_vertex_cover", "build_containment", "build_phylogeny",

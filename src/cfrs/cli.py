@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: analyze, solve, verify, gen, tree, digraph.  Exit codes:
-0 success (and accepted verifications), 1 invalid input or rejected
-verification, 2 exact-solve budget exceeded.  Identical inputs and flags
-produce byte-identical output files; the only non-deterministic output is
-the elapsed time, which goes to stderr.
+0 success (and accepted verifications), 1 invalid input, rejected
+verification or failed internal self-check, 2 exact-solve budget exceeded.
+Identical inputs and flags produce byte-identical output files; the only
+non-deterministic output is the elapsed time, which goes to stderr.
 """
 
 from __future__ import annotations

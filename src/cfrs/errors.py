@@ -22,3 +22,7 @@ class ConflictError(CfrsError):
 
 class BudgetError(CfrsError):
     """An exact solver or brute-force oracle would exceed its size budget."""
+
+
+class InternalError(CfrsError):
+    """A self-check failed: the package computed a wrong or uncertified result."""

@@ -7,15 +7,19 @@ sums the per-level minimum weights.  For monotone weights the minimum
 partition price equals the maximum tower value, and
 :func:`min_price_chain_partition` returns a partition together with a tower
 of matching value as a machine-checkable optimality certificate.
+
+All matching work runs on one maximum matching of Fulkerson's bipartite
+split of the transitive closure, grown one source at a time on bitsets: no
+adjacency list is built, and each added vertex costs one augmenting-path
+search plus, in the min-price recursion, one Koenig pass.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .containment import Dag, width
-from .errors import BudgetError
-from .matching import maximum_bipartite_matching
+from .errors import BudgetError, InternalError
 from .matrix import bits_of, mask_of
 
 Chain = tuple[int, ...]
@@ -89,68 +93,79 @@ def evaluate(partition, tower, weights) -> tuple[int, int]:
     return partition_price(partition, weights), tower_value(tower, weights)
 
 
-# ---------------------------------------------------------------------------
-# Matching-based machinery, shared by the public operations and the
-# min-price recursion.  All helpers take an explicit sorted vertex subset and
-# the host DAG's global reachability masks; the subsets used by the
-# recursion are closed under intermediate vertices, so restricting the
-# global closure is exact.
+class _LiveMatching:
+    """Maximum matching on the bipartite closure of a vertex set grown by sources.
+
+    Left copy u is adjacent to right copy w iff u reaches w.  A source joins
+    with an isolated right copy, and its members stay closed under reach, so
+    ``reach[u]`` is u's neighbourhood and (Berge) only the new left copy can
+    start an augmenting path.  The width grows exactly when that search fails.
+    """
+
+    def __init__(self, reach: tuple[int, ...]):
+        self.reach = reach
+        self.free_left = 0  # members whose left copy is unmatched
+        self.match_left: list[Optional[int]] = [None] * len(reach)
+        self.match_right: list[Optional[int]] = [None] * len(reach)
+
+    def augment(self, v: int) -> bool:
+        """Add source v; True iff a shortest alternating path from its left
+        copy to a free right copy matched it."""
+        reach, match_left, match_right = self.reach, self.match_left, self.match_right
+        seen, via, frontier = 0, {}, [v]
+        while frontier:
+            next_frontier = []
+            for u in frontier:
+                fresh = reach[u] & ~seen
+                seen |= fresh
+                for w in bits_of(fresh):
+                    via[w] = u
+                    if match_right[w] is None:
+                        while w is not None:  # flip the path back to v
+                            u = via[w]
+                            match_right[w] = u
+                            match_left[u], w = w, match_left[u]
+                        return True
+                    next_frontier.append(match_right[w])
+            frontier = next_frontier
+        self.free_left |= 1 << v
+        return False
+
+    def antichain(self) -> int:
+        """A maximum antichain of the members, as a mask (Koenig): the left
+        copies reachable by alternating paths from the free ones, minus the
+        right copies they meet.  It depends on the members, not the matching."""
+        reach, match_right = self.reach, self.match_right
+        z_left = frontier = self.free_left
+        z_right = 0
+        while frontier:
+            fresh = 0
+            for u in bits_of(frontier):
+                fresh |= reach[u]
+            fresh &= ~z_right
+            z_right |= fresh
+            frontier = 0
+            for w in bits_of(fresh):
+                frontier |= 1 << match_right[w]
+            z_left |= frontier
+        antichain = z_left & ~z_right
+        if antichain.bit_count() != self.free_left.bit_count():
+            raise InternalError("Koenig antichain size differs from the width")
+        return antichain
 
 
-def _matching(members: list[int], reach: tuple[int, ...]):
-    index = {v: i for i, v in enumerate(members)}
-    adj = [
-        [index[w] for w in members if (reach[v] >> w) & 1]
-        for v in members
-    ]
-    match_left, match_right = maximum_bipartite_matching(adj, len(members))
-    return adj, match_left, match_right
+def _grown(dag: Dag) -> _LiveMatching:
+    live = _LiveMatching(dag.reach)
+    for v in reversed(dag.topological_order):
+        live.augment(v)
+    return live
 
 
-def _width_of(members: list[int], reach: tuple[int, ...]) -> int:
-    _, match_left, _ = _matching(members, reach)
-    return len(members) - sum(1 for v in match_left if v is not None)
-
-
-def _dilworth_chains(members: list[int], reach: tuple[int, ...]) -> list[list[int]]:
-    _, match_left, match_right = _matching(members, reach)
-    chains = []
-    for i, v in enumerate(members):
-        if match_right[i] is not None:
-            continue
-        chain = [v]
-        j = i
-        while match_left[j] is not None:
-            j = match_left[j]
-            chain.append(members[j])
-        chains.append(chain)
-    return chains
-
-
-def _max_antichain(members: list[int], reach: tuple[int, ...]) -> Antichain:
-    adj, match_left, match_right = _matching(members, reach)
-    # Koenig: alternate from unmatched left copies; uncovered-both vertices
-    # form a maximum antichain.
-    in_z_left = [match_left[i] is None for i in range(len(members))]
-    in_z_right = [False] * len(members)
-    stack = [i for i in range(len(members)) if in_z_left[i]]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v == match_left[u] or in_z_right[v]:
-                continue
-            in_z_right[v] = True
-            w = match_right[v]
-            if w is not None and not in_z_left[w]:
-                in_z_left[w] = True
-                stack.append(w)
-    antichain = frozenset(
-        members[i] for i in range(len(members)) if in_z_left[i] and not in_z_right[i]
-    )
-    assert len(antichain) == len(members) - sum(
-        1 for v in match_left if v is not None
-    )
-    return antichain
+def _walk(v: int, step: list[Optional[int]]) -> list[int]:
+    path = [v]
+    while step[path[-1]] is not None:
+        path.append(step[path[-1]])
+    return path
 
 
 def dilworth_partition(dag: Dag) -> ChainPartition:
@@ -159,13 +174,14 @@ def dilworth_partition(dag: Dag) -> ChainPartition:
     Uses Fulkerson's reduction: a maximum matching on the bipartite split of
     the transitive closure, chains assembled from matched pairs.
     """
-    chains = _dilworth_chains(list(range(dag.n)), dag.reach)
-    return tuple(tuple(c) for c in sorted(chains))
+    live = _grown(dag)
+    return tuple(sorted(tuple(_walk(v, live.match_left))
+                        for v in range(dag.n) if live.match_right[v] is None))
 
 
 def maximum_antichain(dag: Dag) -> Antichain:
     """An antichain of maximum cardinality, from a Koenig vertex cover."""
-    return _max_antichain(list(range(dag.n)), dag.reach)
+    return frozenset(bits_of(_grown(dag).antichain()))
 
 
 def min_price_chain_partition(
@@ -178,77 +194,59 @@ def min_price_chain_partition(
     certifies optimality since every partition's price is at least every
     tower's value.
 
-    Works by removing a minimum-weight source, solving the rest, and either
-    appending a singleton chain plus a new maximum-antichain level (when the
-    width grew) or re-stitching the chains across the ancestor set of a
-    maximum antichain (when it did not).
+    Removes minimum-weight sources one by one, then adds them back in
+    reverse order to one live matching.  If the width grew, the new vertex
+    is a singleton chain and the Koenig antichain a new tower level.  If
+    not, each chain loses its prefix of ancestors of that antichain ``base``
+    and is stitched under the matched path ending at its ``base`` vertex;
+    these paths hold exactly the ancestors of ``base``.
     """
     w = _validated_weights(dag, weights)
     if not is_monotone(dag, w):
         raise ValueError("weight function is not monotone on the digraph arcs")
-    reach = dag.reach
+    reached_by = [0] * dag.n
+    for v in dag.topological_order:
+        for u in dag.in_(v):
+            reached_by[v] |= reached_by[u] | 1 << u
 
+    # by monotonicity the first remaining source in (weight, index) order has
+    # minimum weight among the remaining vertices
+    order = sorted(range(dag.n), key=lambda v: (w[v], v))
+    remaining = (1 << dag.n) - 1
     removal: list[int] = []
-    remaining = set(range(dag.n))
-    while remaining:
-        low = min(w[v] for v in remaining)
-        pick = None
-        for v in sorted(remaining):
-            if w[v] != low:
-                continue
-            if any(u != v and (reach[u] >> v) & 1 for u in remaining):
-                continue
-            pick = v
-            break
-        # monotone weights guarantee a minimum-weight source exists
-        assert pick is not None, "no minimum-weight source"
-        removal.append(pick)
-        remaining.remove(pick)
+    while order:
+        i = next(i for i, u in enumerate(order) if not reached_by[u] & remaining)
+        v = order.pop(i)
+        remaining ^= 1 << v
+        removal.append(v)
 
+    live = _LiveMatching(dag.reach)
     chains: list[list[int]] = []
     tower: list[Antichain] = []
-    members: list[int] = []
-    width_now = 0
     for v in reversed(removal):
-        new_members = sorted(members + [v])
-        new_width = _width_of(new_members, reach)
-        if new_width == width_now + 1:
+        if not live.augment(v):
             chains.append([v])
-            level = _max_antichain(new_members, reach)
-            tower.append(level)
-        elif new_width == width_now:
-            base = _max_antichain(members, reach)
-            assert len(base) == new_width
-            base_mask = mask_of(base)
-            ancestors = {u for u in new_members if reach[u] & base_mask}
-            assert v in ancestors
-            trimmed = [[x for x in c if x not in ancestors] for c in chains]
-            upper = sorted(set(base) | ancestors)
-            upper_chains = _dilworth_chains(upper, reach)
-            assert len(upper_chains) == new_width and all(trimmed), \
-                "chain partition misaligned with antichain"
-            tails: dict[int, list[int]] = {}
-            for c in trimmed:
-                hits = [x for x in c if x in base]
-                assert len(hits) == 1 and c[0] == hits[0], \
-                    "trimmed chain does not start at its antichain vertex"
-                tails[hits[0]] = c
-            chains = []
-            for c in upper_chains:
-                hits = [x for x in c if x in base]
-                assert len(hits) == 1 and c[-1] == hits[0], \
-                    "upper chain does not end at its antichain vertex"
-                chains.append(c + tails[hits[0]][1:])
-        else:
-            raise AssertionError("width changed by more than one")
-        members = new_members
-        width_now = new_width
+            tower.append(frozenset(bits_of(live.antichain())))
+            continue
+        # v is matched and no alternating path from a free left copy meets
+        # its partner, so this is also the members' antichain before v joined
+        base = live.antichain()
+        ancestors = 0  # with vertices not yet added, which no chain holds
+        for b in bits_of(base):
+            ancestors |= reached_by[b]
+        for j, c in enumerate(chains):
+            i = next((i for i, x in enumerate(c) if not (ancestors >> x) & 1), -1)
+            if not (base >> c[i]) & 1:
+                raise InternalError("chain misaligned with the antichain")
+            chains[j] = _walk(c[i], live.match_right)[::-1] + c[i + 1:]
 
     partition = tuple(tuple(c) for c in sorted(chains))
-    certificate = tuple(tower)
-    price, value = evaluate(partition, certificate, w)
-    assert price == value, "certificate value does not match partition price"
-    return partition, certificate
+    if not is_chain_partition(dag, partition):
+        raise InternalError("min-price chains do not partition the vertices")
+    price, value = evaluate(partition, tower, w)
+    if price != value:
+        raise InternalError("certificate value does not match partition price")
+    return partition, tuple(tower)
 
 
 def brute_force_min_price(dag: Dag, weights: Sequence[int],

@@ -32,6 +32,7 @@ from .branching import (
     linear_from_chains,
 )
 from .containment import ContainmentDigraph, build_containment, height, width
+from .errors import InternalError
 from .matrix import (
     BinaryMatrix,
     RowSplit,
@@ -79,9 +80,11 @@ class SolveReport:
 
 def _report(method: str, matrix: BinaryMatrix, digraph: ContainmentDigraph,
             split: RowSplit, started: float, beta_lower_bound: Optional[int] = None,
-            tower_value: Optional[int] = None) -> SolveReport:
+            tower_value: Optional[int] = None, dag_width: Optional[int] = None
+            ) -> SolveReport:
     verdict = verify_row_split(matrix, split, require_conflict_free=True)
-    assert verdict.ok, f"solver produced an invalid split: {verdict.reason}"
+    if not verdict.ok:
+        raise InternalError(f"solver produced an invalid split: {verdict.reason}")
     return SolveReport(
         method=method,
         rows=split.matrix.m,
@@ -89,7 +92,7 @@ def _report(method: str, matrix: BinaryMatrix, digraph: ContainmentDigraph,
         beta_lower_bound=matrix.m if beta_lower_bound is None else beta_lower_bound,
         tower_value=tower_value,
         height=height(digraph),
-        width=width(digraph),
+        width=width(digraph) if dag_width is None else dag_width,
         k=digraph.n,
         elapsed_seconds=time.perf_counter() - started,
     )
@@ -102,8 +105,12 @@ def _linear_pipeline(matrix: BinaryMatrix, method: str):
     partition, tower = min_price_chain_partition(digraph, sizes)
     split = branching_split(matrix, linear_from_chains(partition), digraph)
     price, value = evaluate(partition, tower, sizes)
-    report = _report(method, matrix, digraph, split, started, tower_value=value)
-    assert report.rows == price == value
+    # a minimum-price partition has exactly width(D) chains
+    report = _report(method, matrix, digraph, split, started, tower_value=value,
+                     dag_width=len(partition))
+    if not report.rows == price == value:
+        raise InternalError(
+            f"linear split has {report.rows} rows, price {price}, tower value {value}")
     return split, report
 
 
@@ -138,10 +145,9 @@ def solve_exact(matrix: BinaryMatrix, objective: str = "rows",
         method, bound = "exact-distinct", None
     split = branching_split(matrix, branching, digraph)
     report = _report(method, matrix, digraph, split, started, beta_lower_bound=bound)
-    if objective == "rows":
-        assert report.rows == value
-    else:
-        assert report.distinct_rows == value
+    got = report.rows if objective == "rows" else report.distinct_rows
+    if got != value:
+        raise InternalError(f"exact {objective} split has {got}, search found {value}")
     return split, report
 
 

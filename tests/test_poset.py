@@ -12,11 +12,13 @@ from cfrs import (
     dilworth_partition,
     evaluate,
     gen_block_tree,
+    gen_random_laminar,
     maximum_antichain,
     min_price_chain_partition,
     width,
 )
 from cfrs.poset import (
+    BRUTE_FORCE_CAP,
     is_antichain,
     is_chain_partition,
     is_monotone,
@@ -29,6 +31,7 @@ from tests.helpers import (
     GAP_DAG,
     gap_weights,
     oracle_max_antichain_size,
+    random_corpus,
     random_dag,
     random_monotone_weights,
 )
@@ -68,6 +71,18 @@ def test_dilworth_partition_is_minimal(dag):
     antichain = maximum_antichain(dag)
     assert is_antichain(dag, antichain)
     assert len(antichain) == width(dag)
+
+
+def test_dilworth_and_antichain_agree_with_width_on_corpus():
+    digraphs = [build_containment(m) for m in random_corpus(80, max_side=9, seed=41)]
+    digraphs += [build_containment(gen_random_laminar(m, k, 3))
+                 for m, k in ((20, 30), (60, 90))]
+    for dag in digraphs:
+        partition = dilworth_partition(dag)
+        antichain = maximum_antichain(dag)
+        assert is_chain_partition(dag, partition)
+        assert is_antichain(dag, antichain)
+        assert len(partition) == len(antichain) == width(dag)
 
 
 def test_evaluate_basics():
@@ -143,15 +158,34 @@ def test_brute_force_caps():
 
 def test_strong_duality_on_random_instances():
     rng = random.Random(99)
-    for _ in range(150):
-        dag = random_dag(rng, max_vertices=9)
-        weights = random_monotone_weights(rng, dag)
+    for trial in range(1000):
+        dag = random_dag(rng, max_vertices=BRUTE_FORCE_CAP,
+                         arc_probability=(0.15, 0.35, 0.6)[trial % 3])
+        # relabel so vertex ids are not a topological order
+        perm = list(range(dag.n))
+        rng.shuffle(perm)
+        dag = Dag(dag.n, [(perm[u], perm[v]) for u, v in dag.arcs])
+        weights = random_monotone_weights(rng, dag, high=(3, 20)[trial % 2])
         partition, tower = min_price_chain_partition(dag, weights)
         assert is_chain_partition(dag, partition)
         assert is_tower(dag, tower)
         price, value = evaluate(partition, tower, weights)
         assert price == value == brute_force_min_price(dag, weights)
+        assert value == brute_force_max_tower(dag, weights)
         assert len(partition) == width(dag)
+
+
+def test_min_price_on_laminar_containment_digraphs():
+    for seed in range(3):
+        dag = build_containment(gen_random_laminar(100, 150, seed))
+        sizes = [s.bit_count() for s in dag.supports]
+        partition, tower = min_price_chain_partition(dag, sizes)
+        assert is_chain_partition(dag, partition)
+        assert len(partition) == width(dag)
+        assert is_tower(dag, tower)
+        price, value = evaluate(partition, tower, sizes)
+        assert price == value
+        assert min_price_chain_partition(dag, sizes) == (partition, tower)
 
 
 def test_weak_duality_with_arbitrary_weights():

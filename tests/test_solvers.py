@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cfrs
 from cfrs import (
     approx_distinct_2,
     approx_height,
@@ -12,8 +18,11 @@ from cfrs import (
     solve_exact,
     solve_linear_heuristic,
     verify_row_split,
+    width,
 )
-from cfrs.errors import BudgetError
+from cfrs.errors import BudgetError, InternalError
+from cfrs.io import format_matrix
+from cfrs.matrix import Verdict
 
 from tests.helpers import CROSSING_PAIR, IDENTITY_2, NESTED_PAIR, duplicate_column, random_corpus
 
@@ -105,6 +114,7 @@ def test_every_solver_output_verifies():
             assert report.distinct_rows <= report.rows
             assert report.beta_lower_bound <= report.rows
             assert report.k == count_distinct_cols(matrix)
+            assert report.width == width(build_containment(matrix))
 
 
 def test_dominance_chain_on_corpus():
@@ -172,3 +182,48 @@ def test_split_has_at_least_source_distinct_columns():
         for solver in (solve_linear_heuristic, approx_height, approx_distinct_2):
             split, _ = solver(matrix)
             assert count_distinct_cols(split.matrix) >= count_distinct_cols(matrix)
+
+
+@pytest.mark.parametrize("target, fake, solve", [
+    ("verify_row_split", lambda *args, **kwargs: Verdict(False, "forced"),
+     solve_linear_heuristic),
+    ("evaluate", lambda partition, tower, weights: (0, 0), solve_linear_heuristic),
+    ("exact_min_uncovered", lambda digraph, budget: (cfrs.Branching.empty(digraph.n), 0),
+     lambda m: solve_exact(m, "rows")),
+    ("exact_min_irreducible", lambda digraph, budget: (cfrs.Branching.empty(digraph.n), 0),
+     lambda m: solve_exact(m, "distinct")),
+])
+def test_solver_self_checks_raise_internal_error(monkeypatch, target, fake, solve):
+    monkeypatch.setattr(f"cfrs.solvers.{target}", fake)
+    with pytest.raises(InternalError):
+        solve(gen_block_tree(2, 2))
+
+
+def test_self_checks_survive_python_optimize(tmp_path):
+    # -O strips assert statements; the certificate check must still fire and
+    # the command line must report it as an error, not a traceback
+    matrix_file = tmp_path / "bt.txt"
+    matrix_file.write_text(format_matrix(gen_block_tree(2, 2)))
+    script = "\n".join((
+        "import sys",
+        "import cfrs.poset",
+        "from cfrs import InternalError, gen_block_tree, solve_linear_heuristic",
+        "from cfrs.cli import main",
+        "print('debug:', __debug__)",
+        "cfrs.poset.evaluate = lambda partition, tower, weights: (1, 2)",
+        "try:",
+        "    solve_linear_heuristic(gen_block_tree(2, 2))",
+        "except InternalError as exc:",
+        "    print('raised:', exc)",
+        "sys.exit(main(['solve', sys.argv[1]]))",
+    ))
+    src = str(Path(cfrs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-O", "-c", script, str(matrix_file)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert "debug: False" in result.stdout
+    assert "raised: certificate value does not match partition price" in result.stdout
+    assert result.returncode == 1
+    assert "error: certificate value does not match partition price" in result.stderr
+    assert "Traceback" not in result.stderr
