@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .containment import ContainmentDigraph, Dag, build_containment, elementary_arcs
-from .errors import BudgetError, MatrixError
+from .errors import BudgetError, InternalError, MatrixError
 from .matrix import (
     ACCEPT,
     BinaryMatrix,
@@ -82,19 +82,27 @@ def _checked(digraph: Dag, branching: Branching) -> None:
         raise ValueError(f"invalid branching: {verdict.reason}")
 
 
+def _uncovered_by_row(digraph: ContainmentDigraph,
+                      branching: Branching) -> list[list[int]]:
+    """For each row, the increasing vertices that keep it uncovered."""
+    _checked(digraph, branching)
+    cover = _cover_masks(digraph, branching)
+    by_row: list[list[int]] = [[] for _ in range(digraph.n_rows)]
+    for v in range(digraph.n):
+        for r in bits_of(digraph.supports[v] & ~cover[v]):
+            by_row[r].append(v)
+    return by_row
+
+
 def uncovered_pairs(digraph: ContainmentDigraph,
                     branching: Branching) -> tuple[tuple[int, int], ...]:
     """Pairs (row, vertex) with the row in the vertex's support but not in
     the union of its chosen in-neighbors, sorted by (row, vertex)."""
-    _checked(digraph, branching)
-    cover = _cover_masks(digraph, branching)
-    pairs = [
+    return tuple(
         (r, v)
-        for v in range(digraph.n)
-        for r in bits_of(digraph.supports[v] & ~cover[v])
-    ]
-    pairs.sort()
-    return tuple(pairs)
+        for r, vertices in enumerate(_uncovered_by_row(digraph, branching))
+        for v in vertices
+    )
 
 
 def irreducible_vertices(digraph: ContainmentDigraph,
@@ -120,24 +128,24 @@ def branching_split(matrix: BinaryMatrix, branching: Branching,
     d = digraph if digraph is not None else build_containment(matrix)
     if d.n_rows != matrix.m or len(d.class_of) != matrix.n:
         raise ValueError("digraph does not belong to this matrix")
-    pairs = uncovered_pairs(d, branching)
-    # reachability along the branching, incl. v itself; choice targets have
-    # strictly larger supports, so fill the memo by decreasing support size
-    forward = [0] * d.n
-    order = sorted(range(d.n), key=lambda v: d.supports[v].bit_count(), reverse=True)
-    for v in order:
-        forward[v] = 1 << v
+    by_row = _uncovered_by_row(d, branching)
+    # column mask of everything reachable along the branching, incl. v
+    # itself; choice targets have strictly larger supports, so fill the
+    # memo by decreasing support size
+    reach_cols = [0] * d.n
+    for j, v in enumerate(d.class_of):
+        reach_cols[v] |= 1 << j
+    for v in sorted(range(d.n), key=lambda u: d.supports[u].bit_count(), reverse=True):
         nxt = branching.choice[v]
         if nxt is not None:
-            forward[v] |= forward[nxt]
-    rows = tuple(
-        tuple(1 if (forward[v] >> d.class_of[j]) & 1 else 0 for j in range(matrix.n))
-        for _, v in pairs
-    )
-    groups: list[list[int]] = [[] for _ in range(matrix.m)]
-    for idx, (r, _) in enumerate(pairs):
-        groups[r].append(idx)
-    return RowSplit(BinaryMatrix(rows), tuple(tuple(g) for g in groups))
+            reach_cols[v] |= reach_cols[nxt]
+    rows: list[int] = []
+    groups = []
+    for vertices in by_row:
+        start = len(rows)
+        rows.extend(reach_cols[v] for v in vertices)
+        groups.append(tuple(range(start, len(rows))))
+    return RowSplit(BinaryMatrix.from_row_masks(matrix.n, rows), tuple(groups))
 
 
 def split_to_branching(matrix: BinaryMatrix, split: RowSplit) -> Branching:
@@ -156,8 +164,8 @@ def split_to_branching(matrix: BinaryMatrix, split: RowSplit) -> Branching:
     red = reduce_columns(matrix)
     k = red.reduced.n
     split_masks = [split.matrix.col_masks[j] for j in red.representative]
-    # distinct source columns stay distinct in any row split
-    assert len(set(split_masks)) == k
+    if len(set(split_masks)) != k:
+        raise InternalError("two distinct source columns coincide in a verified split")
     arcs = [
         (i, j)
         for i in range(k)
@@ -167,8 +175,9 @@ def split_to_branching(matrix: BinaryMatrix, split: RowSplit) -> Branching:
     elem = elementary_arcs(Dag(k, arcs))
     choice: list[Optional[int]] = [None] * k
     for i, j in sorted(elem):
-        # conflict-freeness forbids two elementary arcs out of one vertex
-        assert choice[i] is None
+        if choice[i] is not None:
+            raise InternalError(f"vertex {i} has two elementary out-arcs "
+                                f"in a conflict-free split")
         choice[i] = j
     return Branching(tuple(choice))
 
@@ -215,7 +224,8 @@ def _decision_order(digraph: Dag) -> list[int]:
             if head_pending[u] == 0:
                 available.append(u)
         available.sort()
-    assert len(order) == n
+    if len(order) != n:
+        raise InternalError(f"decision order placed {len(order)} of {n} vertices")
     return order
 
 
@@ -297,7 +307,8 @@ def _exact_minimize(
             choice[v] = None
 
     descend(0, base)
-    assert best is not None
+    if best is None:
+        raise InternalError("exact search ended without reaching its primed bound")
     return Branching(best), bound
 
 

@@ -6,7 +6,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import BudgetError, MatrixError
+from .errors import BudgetError, InternalError, MatrixError
 from .matrix import BinaryMatrix, mask_of
 
 MAX_GENERATED_CELLS = 2_000_000
@@ -95,6 +95,12 @@ def gen_block_tree(d: int, h: int,
     return BinaryMatrix.from_col_masks(m, tuple(masks))
 
 
+def _check_distinct(masks: list[int], family: str) -> None:
+    # a simple cubic graph gives pairwise distinct reduction columns
+    if len(set(masks)) != len(masks):
+        raise InternalError(f"{family} reduction produced duplicate columns")
+
+
 def gen_vc_reduction(graph: CubicGraph) -> BinaryMatrix:
     """Height-2 matrix whose minimum split-row count is 8|V| plus the
     vertex-cover number of the cubic graph.
@@ -111,7 +117,7 @@ def gen_vc_reduction(graph: CubicGraph) -> BinaryMatrix:
     masks += [incident[v] | x_bit for v in range(graph.n)]
     masks += [incident[v] | y_bit for v in range(graph.n)]
     masks += [incident[v] | x_bit | y_bit for v in range(graph.n)]
-    assert len(set(masks)) == len(masks)
+    _check_distinct(masks, "vc")
     return BinaryMatrix.from_col_masks(e + 2, tuple(masks))
 
 
@@ -125,7 +131,7 @@ def gen_ib_reduction(graph: CubicGraph) -> BinaryMatrix:
     e = len(graph.edges)
     masks = [1 << i for i in range(e)]
     masks += [mask_of(graph.incident(v)) for v in range(graph.n)]
-    assert len(set(masks)) == len(masks)
+    _check_distinct(masks, "ib")
     return BinaryMatrix.from_col_masks(e, tuple(masks))
 
 
@@ -191,7 +197,9 @@ def gen_random_laminar(m: int, k: int, seed: int) -> BinaryMatrix:
             cut = rng.randint(1, len(members) - 1)
             stack.append(tuple(sorted(members[cut:])))
             stack.append(tuple(sorted(members[:cut])))
-    assert len(blocks) == 2 * m - 1
+    if len(blocks) != 2 * m - 1:
+        raise InternalError(f"split tree over {m} rows has {len(blocks)} blocks, "
+                            f"expected {2 * m - 1}")
     chosen = [blocks[0]] + (rng.sample(blocks[1:], k - 1) if k > 1 else [])
     chosen.sort(key=lambda block: (-len(block), block))
     return BinaryMatrix.from_col_masks(m, tuple(mask_of(b) for b in chosen))

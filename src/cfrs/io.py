@@ -14,8 +14,9 @@ from .matrix import BinaryMatrix, PhyloTree, RowSplit, bits_of
 
 
 def format_matrix(matrix: BinaryMatrix) -> str:
+    spec = f"0{matrix.n}b"
     lines = [f"{matrix.m} {matrix.n}"]
-    lines += ["".join(str(b) for b in row) for row in matrix.rows]
+    lines += [format(mask, spec)[::-1] for mask in matrix.row_masks]
     return "\n".join(lines) + "\n"
 
 
@@ -38,13 +39,14 @@ def _parse_matrix_lines(lines: list[tuple[int, str]]) -> BinaryMatrix:
     m, n = int(parts[0]), int(parts[1])
     if len(lines) - 1 < m:
         raise MatrixError(f"expected {m} matrix rows, found {len(lines) - 1}")
-    rows = []
+    masks = []
     for lineno, line in lines[1:m + 1]:
-        if len(line) != n or any(ch not in "01" for ch in line):
+        # int(..., 2) alone would also take '_', '+', spaces and non-ASCII digits
+        if len(line) != n or line.strip("01"):
             raise MatrixError(f"line {lineno}: expected {n} characters over 01, "
                               f"got {line!r}")
-        rows.append(tuple(int(ch) for ch in line))
-    return BinaryMatrix(tuple(rows))
+        masks.append(int(line[::-1], 2))
+    return BinaryMatrix.from_row_masks(n, masks)
 
 
 def parse_matrix(text: str) -> BinaryMatrix:

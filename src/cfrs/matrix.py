@@ -3,8 +3,10 @@
 A valid matrix has at least one row and one column and no all-zero row or
 column.  Rows and columns are identified by 0-based position; the carried
 labels (1-based by default) are used only for files, DOT output and messages.
-Column supports are handled as int bitsets over row indices throughout, so
-inclusion tests cost one mask operation.
+A matrix is stored as one int bitset per row (bit j for column j); column
+supports are bitsets over row indices, so inclusion tests, row ORs and
+validation each cost one mask operation.  Dense 0/1 row tuples are built
+only on request.
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import ConflictError, MatrixError
+from .errors import ConflictError, InternalError, MatrixError
 
 Bits = tuple[int, ...]
+
+# byte b"0"/b"1" -> 0/1, for turning a binary string into a 0/1 tuple
+_CELLS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -34,74 +39,128 @@ def mask_of(indices: Iterable[int]) -> int:
     return mask
 
 
+def _transpose(masks: Sequence[int], size: int) -> tuple[int, ...]:
+    """Bitsets over the indices of ``masks``, one per bit position < size."""
+    out = [0] * size
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= bit
+            mask ^= low
+    return tuple(out)
+
+
 def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BinaryMatrix:
-    """Immutable 0/1 matrix with no all-zero row or column."""
+    """Immutable 0/1 matrix with no all-zero row or column.
 
-    rows: tuple[Bits, ...]
-    row_labels: tuple[str, ...] = ()
-    col_labels: tuple[str, ...] = ()
+    ``BinaryMatrix(rows)`` takes rows of entries that ``int()`` maps to 0 or
+    1; :meth:`from_row_masks` and :meth:`from_col_masks` take bitsets.  The
+    matrix keeps ``row_masks``; ``rows`` (0/1 tuples) and ``col_masks`` are
+    derived on first use, unless ``from_col_masks`` supplied the latter.
+    Equality and hashing are by shape, entries and labels.
+    """
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(b) for b in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if not rows or not rows[0]:
+    n: int
+    row_masks: tuple[int, ...]
+    row_labels: tuple[str, ...]
+    col_labels: tuple[str, ...]
+
+    def __init__(self, rows: Iterable[Iterable], row_labels: Sequence[str] = (),
+                 col_labels: Sequence[str] = ()):
+        cells = tuple(tuple(map(int, row)) for row in rows)
+        if not cells or not cells[0]:
             raise MatrixError("matrix needs at least one row and one column")
-        n = len(rows[0])
-        for i, row in enumerate(rows):
+        n = len(cells[0])
+        masks = []
+        for i, row in enumerate(cells):
             if len(row) != n:
                 raise MatrixError(f"row {i + 1} has {len(row)} entries, expected {n}")
-            if any(b not in (0, 1) for b in row):
+            if row.count(0) + row.count(1) != n:
                 raise MatrixError(f"row {i + 1} contains a non-binary entry")
-            if not any(row):
+            mask = int("".join(map(str, row))[::-1], 2)
+            if not mask:
                 raise MatrixError(f"row {i + 1} is all zeros")
-        for j in range(n):
-            if not any(row[j] for row in rows):
-                raise MatrixError(f"column {j + 1} is all zeros")
-        if not self.row_labels:
-            object.__setattr__(self, "row_labels", _default_labels("r", len(rows)))
-        if not self.col_labels:
-            object.__setattr__(self, "col_labels", _default_labels("c", n))
-        if len(self.row_labels) != len(rows) or len(self.col_labels) != n:
+            masks.append(mask)
+        self._set(n, tuple(masks), row_labels, col_labels)
+
+    def _set(self, n: int, masks: tuple[int, ...], row_labels: Sequence[str],
+             col_labels: Sequence[str]) -> None:
+        """Validate row bitsets and labels, then fill the fields."""
+        if n < 1 or not masks:
+            raise MatrixError("matrix needs at least one row and one column")
+        union = 0
+        for i, mask in enumerate(masks):
+            if mask < 0:
+                raise MatrixError(f"row {i + 1} contains a non-binary entry")
+            if mask >> n:
+                raise MatrixError(f"row {i + 1} has {mask.bit_length()} entries, "
+                                  f"expected {n}")
+            if not mask:
+                raise MatrixError(f"row {i + 1} is all zeros")
+            union |= mask
+        missing = ~union & ((1 << n) - 1)
+        if missing:
+            j = (missing & -missing).bit_length() - 1
+            raise MatrixError(f"column {j + 1} is all zeros")
+        row_labels = tuple(row_labels) or _default_labels("r", len(masks))
+        col_labels = tuple(col_labels) or _default_labels("c", n)
+        if len(row_labels) != len(masks) or len(col_labels) != n:
             raise MatrixError("label count does not match matrix shape")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "row_masks", masks)
+        object.__setattr__(self, "row_labels", row_labels)
+        object.__setattr__(self, "col_labels", col_labels)
+
+    @classmethod
+    def from_row_masks(cls, n: int, masks: Iterable[int],
+                       row_labels: Sequence[str] = (),
+                       col_labels: Sequence[str] = ()) -> "BinaryMatrix":
+        """Build an n-column matrix whose i-th row has bit j set for a 1 in
+        column j.  A mask with a bit at or above n is rejected."""
+        matrix = cls.__new__(cls)
+        matrix._set(n, tuple(masks), row_labels, col_labels)
+        return matrix
+
+    @classmethod
+    def from_col_masks(cls, m: int, masks: Sequence[int],
+                       row_labels: Sequence[str] = (),
+                       col_labels: Sequence[str] = ()) -> "BinaryMatrix":
+        """Build an m-row matrix whose j-th column support is ``masks[j]``.
+
+        Bits at or above m are ignored.
+        """
+        if m < 1:
+            raise MatrixError("matrix needs at least one row and one column")
+        full = (1 << m) - 1
+        cols = tuple(mask & full for mask in masks)
+        matrix = cls.from_row_masks(len(cols), _transpose(cols, m),
+                                    row_labels, col_labels)
+        matrix.__dict__["col_masks"] = cols
+        return matrix
 
     @property
     def m(self) -> int:
-        return len(self.rows)
+        return len(self.row_masks)
 
-    @property
-    def n(self) -> int:
-        return len(self.rows[0])
+    @cached_property
+    def rows(self) -> tuple[Bits, ...]:
+        """Rows as 0/1 tuples."""
+        spec = f"0{self.n}b"
+        return tuple(
+            tuple(format(mask, spec)[::-1].encode("ascii").translate(_CELLS))
+            for mask in self.row_masks
+        )
 
     @cached_property
     def col_masks(self) -> tuple[int, ...]:
         """Column supports as bitsets over row indices."""
-        masks = [0] * self.n
-        for i, row in enumerate(self.rows):
-            bit = 1 << i
-            for j, b in enumerate(row):
-                if b:
-                    masks[j] |= bit
-        return tuple(masks)
-
-    @cached_property
-    def row_masks(self) -> tuple[int, ...]:
-        """Rows as bitsets over column indices."""
-        return tuple(mask_of(j for j, b in enumerate(row) if b) for row in self.rows)
-
-    @classmethod
-    def from_col_masks(cls, m: int, masks: Sequence[int],
-                       row_labels: tuple[str, ...] = (),
-                       col_labels: tuple[str, ...] = ()) -> "BinaryMatrix":
-        """Build an m-row matrix whose j-th column support is ``masks[j]``."""
-        rows = tuple(
-            tuple(1 if (mask >> i) & 1 else 0 for mask in masks) for i in range(m)
-        )
-        return cls(rows, row_labels, col_labels)
+        return _transpose(self.row_masks, self.n)
 
 
 @dataclass(frozen=True)
@@ -194,8 +253,9 @@ def reduce_columns(matrix: BinaryMatrix) -> ColumnReduction:
             seen[mask] = len(representative)
             representative.append(j)
         class_of.append(seen[mask])
-    reduced = BinaryMatrix(
-        tuple(tuple(row[j] for j in representative) for row in matrix.rows),
+    reduced = BinaryMatrix.from_col_masks(
+        matrix.m,
+        tuple(matrix.col_masks[j] for j in representative),
         matrix.row_labels,
         tuple(matrix.col_labels[j] for j in representative),
     )
@@ -203,7 +263,7 @@ def reduce_columns(matrix: BinaryMatrix) -> ColumnReduction:
 
 
 def count_distinct_rows(matrix: BinaryMatrix) -> int:
-    return len(set(matrix.rows))
+    return len(set(matrix.row_masks))
 
 
 def count_distinct_cols(matrix: BinaryMatrix) -> int:
@@ -304,33 +364,33 @@ def build_phylogeny(matrix: BinaryMatrix) -> PhyloTree:
     The parent of a support is its unique inclusion-minimal proper superset
     among the supports, or the root.  Raises :class:`ConflictError` (carrying
     the witness) when the matrix has a conflict.
+
+    Supports are visited by decreasing size while ``row_node`` keeps, for
+    each row, the smallest support seen so far that holds it.  In a laminar
+    family every larger support meeting a support contains it, so a
+    support's parent is the current node of any of its rows; then the
+    support takes over its rows.  The cost is the total support size plus a
+    sort.
     """
     witness = find_conflict(matrix)
     if witness is not None:
         raise ConflictError(witness, f"cannot build a phylogeny: conflict between "
                                      f"{witness.describe(matrix)}")
     supports = reduce_columns(matrix).reduced.col_masks
-    full = (1 << matrix.m) - 1
-    node_masks = (full,) + supports
-    parent: list[Optional[int]] = [None]
-    for v, mask in enumerate(supports, start=1):
-        best = 0
-        for u, other in enumerate(supports, start=1):
-            if u != v and mask & ~other == 0 and mask != other:
-                if best == 0 or node_masks[u].bit_count() < node_masks[best].bit_count():
-                    best = u
-        if best:
-            # laminarity makes the minimal proper superset unique
-            assert all(node_masks[best] & ~node_masks[u] == 0
-                       for u, other in enumerate(supports, start=1)
-                       if u != v and mask & ~other == 0 and mask != other)
-        parent.append(best)
-    row_node = []
-    for i in range(matrix.m):
-        best = 0
-        for u in range(1, len(node_masks)):
-            if (node_masks[u] >> i) & 1:
-                if best == 0 or node_masks[u].bit_count() < node_masks[best].bit_count():
-                    best = u
-        row_node.append(best)
+    node_masks = ((1 << matrix.m) - 1,) + supports
+    parent: list[Optional[int]] = [None] + [0] * len(supports)
+    row_node = [0] * matrix.m
+    for v in sorted(range(1, len(node_masks)), key=lambda u: -node_masks[u].bit_count()):
+        mask = node_masks[v]
+        parent[v] = row_node[(mask & -mask).bit_length() - 1]
+        for r in bits_of(mask):
+            row_node[r] = v
+    # every support sits properly inside its parent, and siblings are
+    # disjoint: together they make each parent the minimal proper superset
+    covered = [0] * len(node_masks)
+    for v in range(1, len(node_masks)):
+        mask, p = node_masks[v], parent[v]
+        if mask & ~node_masks[p] or (p and mask == node_masks[p]) or mask & covered[p]:
+            raise InternalError(f"phylogeny node {v} does not nest in its parent {p}")
+        covered[p] |= mask
     return PhyloTree(node_masks, tuple(parent), tuple(row_node), matrix.row_labels)

@@ -37,7 +37,6 @@ from .matrix import (
     BinaryMatrix,
     RowSplit,
     count_distinct_rows,
-    reduce_columns,
     verify_row_split,
 )
 from .poset import evaluate, min_price_chain_partition
@@ -151,31 +150,25 @@ def solve_exact(matrix: BinaryMatrix, objective: str = "rows",
     return split, report
 
 
+def _empty_branching_split(matrix: BinaryMatrix,
+                           method: str) -> tuple[RowSplit, SolveReport]:
+    # one split row per (row, support) incidence, holding the support's
+    # columns: the singleton split of the reduced matrix, re-expanded
+    started = time.perf_counter()
+    digraph = build_containment(matrix)
+    split = branching_split(matrix, Branching.empty(digraph.n), digraph)
+    return split, _report(method, matrix, digraph, split, started)
+
+
 def approx_distinct_2(matrix: BinaryMatrix) -> tuple[RowSplit, SolveReport]:
     """Split with at most k distinct rows, hence at most twice the optimum.
 
     Splits each reduced row with t ones into t singleton rows, then
-    re-expands duplicate columns.  The distinct-row optimum is at least k/2,
-    which gives the factor-2 guarantee.
+    re-expands duplicate columns; this is the split of the empty branching.
+    The distinct-row optimum is at least k/2, which gives the factor-2
+    guarantee.
     """
-    started = time.perf_counter()
-    digraph = build_containment(matrix)
-    red = reduce_columns(matrix)
-    pairs = [
-        (i, c)
-        for i in range(red.reduced.m)
-        for c in range(red.reduced.n)
-        if red.reduced.rows[i][c]
-    ]
-    rows = tuple(
-        tuple(1 if red.class_of[j] == c else 0 for j in range(matrix.n))
-        for _, c in pairs
-    )
-    groups: list[list[int]] = [[] for _ in range(matrix.m)]
-    for idx, (i, _) in enumerate(pairs):
-        groups[i].append(idx)
-    split = RowSplit(BinaryMatrix(rows), tuple(tuple(g) for g in groups))
-    return split, _report("distinct-2", matrix, digraph, split, started)
+    return _empty_branching_split(matrix, "distinct-2")
 
 
 def approx_height(matrix: BinaryMatrix) -> tuple[RowSplit, SolveReport]:
@@ -184,10 +177,7 @@ def approx_height(matrix: BinaryMatrix) -> tuple[RowSplit, SolveReport]:
     Produces one row per (row, support) incidence, so the row count is the
     sum of the support sizes.
     """
-    started = time.perf_counter()
-    digraph = build_containment(matrix)
-    split = branching_split(matrix, Branching.empty(digraph.n), digraph)
-    return split, _report("height", matrix, digraph, split, started)
+    return _empty_branching_split(matrix, "height")
 
 
 def approx_width(matrix: BinaryMatrix) -> tuple[RowSplit, SolveReport]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from cfrs import BinaryMatrix, CubicGraph, Dag, gen_random
+from cfrs import BinaryMatrix, Branching, CubicGraph, Dag, gen_random
 
 # rows (1,1),(1,0),(0,1): the two column supports cross, so the matrix has a
 # conflict and its digraph is two incomparable vertices
@@ -120,3 +120,82 @@ def oracle_longest_chain(dag: Dag) -> int:
     for v in range(dag.n):
         walk(v, 1)
     return best
+
+
+def reference_branching_split(matrix: BinaryMatrix, branching, digraph):
+    """Per-cell ``(rows, groups)`` of a branching's split: one 0/1 row per
+    uncovered (row, vertex) pair in (row, vertex) order, with a 1 in every
+    column whose vertex the branching path from the pair's vertex visits."""
+    choice = branching.choice
+    pairs = []
+    for v in range(digraph.n):
+        for r in range(matrix.m):
+            covered = any(choice[u] == v and (digraph.supports[u] >> r) & 1
+                          for u in range(digraph.n))
+            if (digraph.supports[v] >> r) & 1 and not covered:
+                pairs.append((r, v))
+    pairs.sort()
+    rows = []
+    for _, v in pairs:
+        path = {v}
+        while choice[v] is not None:
+            v = choice[v]
+            path.add(v)
+        rows.append(tuple(1 if digraph.class_of[j] in path else 0
+                          for j in range(matrix.n)))
+    groups = tuple(
+        tuple(idx for idx, (r, _) in enumerate(pairs) if r == i)
+        for i in range(matrix.m)
+    )
+    return tuple(rows), groups
+
+
+def reference_distinct_2_split(matrix: BinaryMatrix):
+    """Per-cell ``(rows, groups)`` of the distinct-2 split: every 1 of the
+    column-reduced matrix becomes its own row, re-expanded to all columns
+    of its class."""
+    representative, class_of = [], []
+    for j in range(matrix.n):
+        column = [row[j] for row in matrix.rows]
+        match = [c for c, rep in enumerate(representative)
+                 if [row[rep] for row in matrix.rows] == column]
+        if not match:
+            representative.append(j)
+        class_of.append(match[0] if match else len(representative) - 1)
+    pairs = [(i, c) for i in range(matrix.m)
+             for c, rep in enumerate(representative) if matrix.rows[i][rep]]
+    rows = tuple(tuple(1 if class_of[j] == c else 0 for j in range(matrix.n))
+                 for _, c in pairs)
+    groups = tuple(tuple(idx for idx, (r, _) in enumerate(pairs) if r == i)
+                   for i in range(matrix.m))
+    return rows, groups
+
+
+def reference_phylogeny(matrix: BinaryMatrix):
+    """``(node_masks, parent, row_node)`` by exhaustive comparison: a node's
+    parent is its smallest proper superset among the distinct supports (or
+    the root 0), a row's node the smallest support holding it."""
+    supports = []
+    for mask in matrix.col_masks:
+        if mask not in supports:
+            supports.append(mask)
+    nodes = [(1 << matrix.m) - 1] + supports
+    parent = [None]
+    for v in range(1, len(nodes)):
+        above = [u for u in range(1, len(nodes))
+                 if nodes[v] & ~nodes[u] == 0 and nodes[v] != nodes[u]]
+        parent.append(min(above, key=lambda u: nodes[u].bit_count(), default=0))
+    row_node = []
+    for i in range(matrix.m):
+        holding = [u for u in range(1, len(nodes)) if (nodes[u] >> i) & 1]
+        row_node.append(min(holding, key=lambda u: nodes[u].bit_count(), default=0))
+    return tuple(nodes), tuple(parent), tuple(row_node)
+
+
+def random_branching(rng: random.Random, digraph: Dag, p_arc: float = 0.6):
+    """A branching choosing, for each vertex with out-arcs, no arc or a
+    uniformly random one."""
+    return Branching(tuple(
+        rng.choice(digraph.out(v)) if digraph.out(v) and rng.random() < p_arc else None
+        for v in range(digraph.n)
+    ))

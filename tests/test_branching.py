@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cfrs
 from cfrs import (
     Branching,
+    approx_distinct_2,
     BudgetError,
     branching_split,
     branching_state_count,
@@ -14,6 +20,7 @@ from cfrs import (
     exact_min_irreducible,
     exact_min_uncovered,
     gen_block_tree,
+    gen_random_laminar,
     gen_vc_reduction,
     irreducible_vertices,
     iter_branchings,
@@ -27,7 +34,16 @@ from cfrs import identity_split
 from cfrs.matrix import MatrixError
 from cfrs.poset import partition_price
 
-from tests.helpers import CROSSING_PAIR, NESTED_PAIR, k4, random_corpus
+from tests.helpers import (
+    CROSSING_PAIR,
+    NESTED_PAIR,
+    duplicate_column,
+    k4,
+    random_branching,
+    random_corpus,
+    reference_branching_split,
+    reference_distinct_2_split,
+)
 
 D_CROSS = build_containment(CROSSING_PAIR)
 D_NEST = build_containment(NESTED_PAIR)
@@ -210,3 +226,61 @@ def test_linear_branchings_price_identity():
         b = linear_from_chains(partition)
         assert len(uncovered_pairs(d, b)) == partition_price(partition, sizes)
         assert chains_from_linear(b) == tuple(sorted(partition))
+
+
+def test_branching_split_matches_per_cell_reference():
+    # random branchings of seeded random and laminar matrices, plus the
+    # empty and the chain-partition branchings
+    rng = random.Random(18)
+    matrices = random_corpus(80, max_side=7, seed=18) + [
+        gen_random_laminar(m, k, seed)
+        for seed in range(6) for m, k in ((6, 9), (10, 15), (14, 20))
+    ]
+    checked = 0
+    for matrix in matrices:
+        d = build_containment(matrix)
+        branchings = [Branching.empty(d.n), linear_from_chains(dilworth_partition(d))]
+        branchings += [random_branching(rng, d) for _ in range(4)]
+        for b in branchings:
+            split = branching_split(matrix, b, d)
+            assert (split.matrix.rows, split.groups) == \
+                reference_branching_split(matrix, b, d)
+            checked += 1
+    assert checked == 6 * len(matrices)
+
+
+def test_distinct_2_split_matches_per_cell_reference():
+    matrices = random_corpus(80, max_side=7, seed=19) + [
+        gen_random_laminar(10, 15, seed) for seed in range(5)
+    ] + [duplicate_column(gen_block_tree(2, 3), 2), gen_vc_reduction(k4())]
+    for matrix in matrices:
+        split, _ = approx_distinct_2(matrix)
+        assert (split.matrix.rows, split.groups) == reference_distinct_2_split(matrix)
+
+
+def test_branching_self_checks_survive_python_optimize(tmp_path):
+    # -O strips assert statements; split_to_branching's check that no
+    # vertex gets two elementary out-arcs must still raise
+    chain = tmp_path / "chain.txt"
+    chain.write_text("3 3\n111\n011\n001\n")
+    script = "\n".join((
+        "import sys",
+        "import cfrs.branching",
+        "from cfrs import InternalError, identity_split, split_to_branching",
+        "from cfrs.io import parse_matrix",
+        "print('debug:', __debug__)",
+        "cfrs.branching.elementary_arcs = lambda dag: dag.arcs",
+        "matrix = parse_matrix(open(sys.argv[1]).read())",
+        "try:",
+        "    split_to_branching(matrix, identity_split(matrix))",
+        "except InternalError as exc:",
+        "    print('raised:', exc)",
+    ))
+    src = str(Path(cfrs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-O", "-c", script, str(chain)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert "debug: False" in result.stdout
+    assert "raised: vertex 0 has two elementary out-arcs" in result.stdout
+    assert result.returncode == 0, result.stderr

@@ -70,3 +70,19 @@ def test_phylo_dot_contains_rows_and_edges():
     dot = phylo_to_dot(build_phylogeny(gen_block_tree(2, 2)))
     assert dot.count("shape=box") == 2
     assert "n0 -> n3;" in dot  # root to the full-support column node
+
+
+@pytest.mark.parametrize("row", ["1_0", "+10", "0b1", "１0", "1 0", "10 "])
+def test_rows_that_int_would_accept_are_rejected(row):
+    width = len(row)
+    with pytest.raises(MatrixError, match=f"line 3: expected {width} characters over 01"):
+        parse_matrix(f"2 {width}\n{'1' * width}\n{row}\n")
+    with pytest.raises(MatrixError, match=f"line 4: expected {width} characters over 01"):
+        parse_split(f"# split\n2 {width}\n{'1' * width}\n{row}\n\n1: 1\n2: 2\n")
+
+
+def test_split_round_trip_keeps_masks():
+    split = identity_split(gen_block_tree(3, 3))
+    back = parse_split(format_split(split))
+    assert back.matrix == split.matrix
+    assert back.matrix.row_masks == split.matrix.row_masks

@@ -3,21 +3,34 @@ from hypothesis import given, settings
 
 from cfrs import (
     BinaryMatrix,
+    ColumnReduction,
     ConflictError,
+    InternalError,
     MatrixError,
     build_phylogeny,
     column_support,
     count_distinct_cols,
     count_distinct_rows,
     find_conflict,
+    gen_block_tree,
+    gen_random_laminar,
     identity_split,
     is_laminar,
     reduce_columns,
     verify_row_split,
 )
+from cfrs.io import format_matrix, parse_matrix
 from cfrs.matrix import RowSplit
 
-from tests.helpers import CROSSING_PAIR, IDENTITY_2, NESTED_PAIR, oracle_has_conflict, random_corpus
+from tests.helpers import (
+    CROSSING_PAIR,
+    IDENTITY_2,
+    NESTED_PAIR,
+    duplicate_column,
+    oracle_has_conflict,
+    random_corpus,
+    reference_phylogeny,
+)
 from tests.strategies import binary_matrices
 
 
@@ -183,3 +196,86 @@ def test_phylogeny_structure(matrix):
         for v in range(1, tree.k + 1):
             if (tree.node_masks[v] >> i) & 1:
                 assert tree.node_masks[v].bit_count() >= tree.node_masks[node].bit_count()
+
+
+@settings(max_examples=150, deadline=None)
+@given(binary_matrices(max_rows=7, max_cols=7))
+def test_every_construction_agrees(matrix):
+    built = (
+        BinaryMatrix(matrix.rows),
+        BinaryMatrix(tuple(list(row) for row in matrix.rows)),
+        BinaryMatrix.from_row_masks(matrix.n, matrix.row_masks),
+        BinaryMatrix.from_col_masks(matrix.m, matrix.col_masks),
+        parse_matrix(format_matrix(matrix)),
+    )
+    for other in built:
+        assert other.rows == matrix.rows
+        assert other.row_masks == matrix.row_masks
+        assert other.col_masks == matrix.col_masks
+        assert (other.m, other.n) == (matrix.m, matrix.n)
+        assert other == matrix and hash(other) == hash(matrix)
+    # bit j of row i is entry (i, j); bit i of column j is the same entry
+    for i, row in enumerate(matrix.rows):
+        for j, bit in enumerate(row):
+            assert (matrix.row_masks[i] >> j) & 1 == bit == (matrix.col_masks[j] >> i) & 1
+
+
+def test_equality_and_hash_cover_labels():
+    assert NESTED_PAIR != BinaryMatrix(NESTED_PAIR.rows, ("a", "b"))
+    assert NESTED_PAIR == BinaryMatrix(NESTED_PAIR.rows, ("r1", "r2"), ("c1", "c2"))
+    assert len({NESTED_PAIR, BinaryMatrix(((1, 1), (0, 1)))}) == 1
+
+
+def test_constructor_accepts_entries_int_maps_to_binary():
+    assert BinaryMatrix([["1", "0"], [True, 1.0]]).rows == ((1, 0), (1, 1))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BinaryMatrix(((1, 1), (1,))), "row 2 has 1 entries, expected 2"),
+    (lambda: BinaryMatrix(((1, 1), (1, 2))), "row 2 contains a non-binary entry"),
+    (lambda: BinaryMatrix(((1, 1), (-1, 1))), "row 2 contains a non-binary entry"),
+    (lambda: BinaryMatrix(((1, 1), (0, 0))), "row 2 is all zeros"),
+    (lambda: BinaryMatrix(((0, 0), (1,))), "row 1 is all zeros"),
+    (lambda: BinaryMatrix(((1, 0), (1, 0))), "column 2 is all zeros"),
+    (lambda: BinaryMatrix(((1, 0), (1, 1)), ("a",)), "label count does not match"),
+    (lambda: BinaryMatrix(((1, 1),), (), ("a", "b", "c")), "label count does not match"),
+    (lambda: BinaryMatrix(()), "at least one row and one column"),
+    (lambda: BinaryMatrix(((),)), "at least one row and one column"),
+    (lambda: BinaryMatrix.from_row_masks(2, (0b11, 0b101)), "row 2 has 3 entries, expected 2"),
+    (lambda: BinaryMatrix.from_row_masks(2, (0b11, -1)), "row 2 contains a non-binary entry"),
+    (lambda: BinaryMatrix.from_row_masks(2, (0b01, 0)), "row 2 is all zeros"),
+    (lambda: BinaryMatrix.from_row_masks(3, (0b001, 0b100)), "column 2 is all zeros"),
+    (lambda: BinaryMatrix.from_row_masks(2, (0b11,), ("a", "b")), "label count does not match"),
+    (lambda: BinaryMatrix.from_row_masks(0, ()), "at least one row and one column"),
+    (lambda: BinaryMatrix.from_col_masks(2, (0b11, 0b00)), "column 2 is all zeros"),
+    (lambda: BinaryMatrix.from_col_masks(3, (0b011,)), "row 3 is all zeros"),
+    (lambda: BinaryMatrix.from_col_masks(0, (0b1,)), "at least one row and one column"),
+])
+def test_invalid_matrices_are_rejected_with_their_reason(build, message):
+    with pytest.raises(MatrixError, match=message):
+        build()
+
+
+def test_from_col_masks_ignores_bits_beyond_m():
+    assert BinaryMatrix.from_col_masks(2, (0b111, 0b110)) == BinaryMatrix(((1, 0), (1, 1)))
+
+
+def test_phylogeny_matches_exhaustive_reference_on_laminar_matrices():
+    cases = [gen_random_laminar(m, k, seed)
+             for seed in range(8) for m, k in ((5, 9), (12, 20), (30, 45), (40, 79))]
+    cases += [gen_block_tree(2, 4), gen_block_tree(3, 3),
+              duplicate_column(gen_random_laminar(9, 12, 3), 4)]
+    # the tree DOT of the golden corpus is checked in test_golden_outputs
+    for matrix in cases:
+        tree = build_phylogeny(matrix)
+        assert (tree.node_masks, tree.parent, tree.row_node) == reference_phylogeny(matrix)
+
+
+def test_phylogeny_self_check_raises_internal_error(monkeypatch):
+    # a reduction handing back crossing supports breaks the nesting check
+    import cfrs.matrix
+
+    monkeypatch.setattr(cfrs.matrix, "reduce_columns",
+                        lambda matrix: ColumnReduction(CROSSING_PAIR, (0, 1), (0, 1)))
+    with pytest.raises(InternalError, match="node 2 does not nest in its parent 1"):
+        build_phylogeny(BinaryMatrix(((1, 1), (1, 0), (1, 1))))
