@@ -163,16 +163,11 @@ def split_to_branching(matrix: BinaryMatrix, split: RowSplit) -> Branching:
         raise MatrixError(f"not a conflict-free row split: {verdict.reason}")
     red = reduce_columns(matrix)
     k = red.reduced.n
-    split_masks = [split.matrix.col_masks[j] for j in red.representative]
+    split_masks = tuple(split.matrix.col_masks[j] for j in red.representative)
     if len(set(split_masks)) != k:
         raise InternalError("two distinct source columns coincide in a verified split")
-    arcs = [
-        (i, j)
-        for i in range(k)
-        for j in range(k)
-        if i != j and split_masks[i] & ~split_masks[j] == 0
-    ]
-    elem = elementary_arcs(Dag(k, arcs))
+    elem = elementary_arcs(ContainmentDigraph(
+        split_masks, split.matrix.m, split.matrix.row_labels, tuple(range(k)), tuple(range(k))))
     choice: list[Optional[int]] = [None] * k
     for i, j in sorted(elem):
         if choice[i] is not None:
@@ -186,7 +181,7 @@ def branching_state_count(digraph: Dag) -> int:
     """Number of branchings: the product over vertices of out-degree + 1."""
     total = 1
     for v in range(digraph.n):
-        total *= len(digraph.out(v)) + 1
+        total *= digraph.out_masks[v].bit_count() + 1
     return total
 
 
@@ -204,22 +199,19 @@ def _decision_order(digraph: Dag) -> list[int]:
     brings some head closest to having all its in-neighbors placed.
     """
     n = digraph.n
-    head_pending = [len(digraph.in_(v)) for v in range(n)]
+    out = [digraph.out(v) for v in range(n)]
+    head_pending = [mask.bit_count() for mask in digraph.in_masks]
     available = sorted(v for v in range(n) if head_pending[v] == 0)
-    placed = [False] * n
     order: list[int] = []
     while available:
         best_v, best_score = None, None
         for v in available:
-            score = min(
-                (head_pending[u] - 1 for u in digraph.out(v)), default=n + 1
-            )
+            score = min((head_pending[u] - 1 for u in out[v]), default=n + 1)
             if best_score is None or score < best_score:
                 best_v, best_score = v, score
         order.append(best_v)
-        placed[best_v] = True
         available.remove(best_v)
-        for u in digraph.out(best_v):
+        for u in out[best_v]:
             head_pending[u] -= 1
             if head_pending[u] == 0:
                 available.append(u)
@@ -273,7 +265,7 @@ def _exact_minimize(
     )
     bound = min(total(c) for c in ((None,) * k, smallest, largest)) + 1
 
-    pending = [len(digraph.in_(v)) for v in range(k)]
+    pending = [mask.bit_count() for mask in digraph.in_masks]
     cover = [0] * k
     base = sum(cost(supports[v]) for v in range(k) if pending[v] == 0)
     choice: list[Optional[int]] = [None] * k

@@ -1,9 +1,9 @@
 """DAGs and the column-support containment digraph.
 
-The containment digraph of a matrix has one vertex per distinct column
-support and an arc (u, v) for every proper inclusion u < v, so it is
-acyclic and transitively closed by construction.  A plain :class:`Dag`
-accepts arbitrary user-supplied arcs and validates acyclicity.
+A :class:`Dag` stores out- and in-neighbour bitsets, the latter derived on
+first use.  The containment digraph of a matrix has one vertex per distinct
+column support and an arc (u, v) for every proper inclusion u < v, so it is
+acyclic and transitively closed by construction; a plain Dag checks cycles.
 """
 
 from __future__ import annotations
@@ -11,70 +11,72 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable
 
-from .matrix import BinaryMatrix, bits_of, reduce_columns
+from .matrix import BinaryMatrix, bits_of, reduce_columns, transpose
 
 
 class Dag:
     """Immutable directed acyclic graph on vertices 0..n-1.
 
-    Construction validates vertex ids and acyclicity (Kahn's algorithm) and
-    fixes sorted adjacency, so every derived computation is deterministic.
-    """
+    ``out_masks[u]`` has bit v set for each arc (u, v).  Construction validates
+    vertex ids and acyclicity (Kahn's algorithm); all else is derived from the
+    masks in increasing vertex order, so it is deterministic."""
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        arcset: set[tuple[int, int]] = set()
+        out = [0] * n
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u},{v}) is out of range")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            arcset.add((u, v))
+            out[u] |= 1 << v
         self.n = n
-        self.arcs = frozenset(arcset)
-        out_: list[list[int]] = [[] for _ in range(n)]
-        in_: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(arcset):
-            out_[u].append(v)
-            in_[v].append(u)
-        self._out = tuple(tuple(vs) for vs in out_)
-        self._in = tuple(tuple(sorted(us)) for us in in_)
-        indeg = [len(self._in[v]) for v in range(n)]
-        queue = [v for v in range(n) if indeg[v] == 0]
-        order: list[int] = []
-        while queue:
-            v = queue.pop()
-            order.append(v)
-            for w in self._out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(order) != n:
-            raise ValueError("digraph contains a cycle")
-        self._topo = tuple(order)
+        self.out_masks = tuple(out)
+        self.topological_order  # raises on a cycle
+
+    @cached_property
+    def in_masks(self) -> tuple[int, ...]:
+        return transpose(self.out_masks, self.n)
+
+    @cached_property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, v) for u in range(self.n) for v in self.out(u))
 
     def out(self, v: int) -> tuple[int, ...]:
-        return self._out[v]
+        return tuple(bits_of(self.out_masks[v]))
 
     def in_(self, v: int) -> tuple[int, ...]:
-        return self._in[v]
+        return tuple(bits_of(self.in_masks[v]))
 
     def is_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.out_masks[u] >> v & 1)
 
-    @property
+    @cached_property
     def topological_order(self) -> tuple[int, ...]:
-        return self._topo
+        """Kahn's order on a stack, pushing sources and out-bits in increasing order."""
+        indeg = [mask.bit_count() for mask in self.in_masks]
+        stack = [v for v in range(self.n) if indeg[v] == 0]
+        order: list[int] = []
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for w in bits_of(self.out_masks[v]):
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    stack.append(w)
+        if len(order) != self.n:
+            raise ValueError("digraph contains a cycle")
+        return tuple(order)
 
     @cached_property
     def reach(self) -> tuple[int, ...]:
         """Bitset per vertex of everything reachable by a non-trivial path."""
         masks = [0] * self.n
-        for v in reversed(self._topo):
-            acc = 0
-            for w in self._out[v]:
-                acc |= (1 << w) | masks[w]
+        for v in reversed(self.topological_order):
+            out = acc = self.out_masks[v]
+            for w in bits_of(out):
+                acc |= masks[w]
             masks[v] = acc
         return tuple(masks)
 
@@ -91,26 +93,26 @@ def elementary_arcs(dag: Dag) -> frozenset[tuple[int, int]]:
 
     On a transitively closed digraph this is the transitive reduction.
     """
-    out_mask = [0] * dag.n
-    in_mask = [0] * dag.n
-    for u, v in dag.arcs:
-        out_mask[u] |= 1 << v
-        in_mask[v] |= 1 << u
+    out, in_ = dag.out_masks, dag.in_masks
     return frozenset(
-        (u, v) for u, v in dag.arcs if not out_mask[u] & in_mask[v]
+        (u, v) for u in range(dag.n) for v in bits_of(out[u]) if not out[u] & in_[v]
     )
 
 
 def height(dag: Dag) -> int:
-    """Maximum number of vertices on a directed path."""
-    if dag.n == 0:
-        return 0
-    best = [1] * dag.n
-    for v in dag.topological_order:
-        for u in dag.in_(v):
-            if best[u] + 1 > best[v]:
-                best[v] = best[u] + 1
-    return max(best)
+    """Maximum number of vertices on a directed path.  A vertex reaches only
+    vertices reaching fewer, so taken by reach size each lands one level (a
+    bitset) above the highest level its reach meets."""
+    reach = dag.reach
+    levels: list[int] = []
+    for v in sorted(range(dag.n), key=lambda u: reach[u].bit_count()):
+        h = len(levels)
+        while h and not reach[v] & levels[h - 1]:
+            h -= 1
+        if h == len(levels):
+            levels.append(0)
+        levels[h] |= 1 << v
+    return len(levels)
 
 
 def width(dag: Dag) -> int:
@@ -118,8 +120,6 @@ def width(dag: Dag) -> int:
     bipartite split of the transitive closure."""
     from .matching import maximum_bipartite_matching
 
-    if dag.n == 0:
-        return 0
     adj = [list(bits_of(dag.reach[u])) for u in range(dag.n)]
     match_left, _ = maximum_bipartite_matching(adj, dag.n)
     return dag.n - sum(1 for v in match_left if v is not None)
@@ -140,13 +140,17 @@ class ContainmentDigraph(Dag):
         k = len(supports)
         if len(set(supports)) != k or 0 in supports:
             raise ValueError("vertex supports must be distinct and nonempty")
-        arcs = [
-            (i, j)
-            for i in range(k)
-            for j in range(k)
-            if i != j and supports[i] & ~supports[j] == 0
-        ]
-        super().__init__(k, arcs)
+        # support i lies in the supports holding each of its rows; proper
+        # inclusion grows the support, so no cycle and no Kahn pass
+        holders = transpose(supports, n_rows)
+        out = []
+        for i, mask in enumerate(supports):
+            above = -1
+            for r in bits_of(mask):
+                above &= holders[r]
+            out.append(above ^ (1 << i))
+        self.n = k
+        self.out_masks = self.reach = tuple(out)  # transitively closed
         self.supports = tuple(supports)
         self.n_rows = n_rows
         self.row_labels = tuple(row_labels)

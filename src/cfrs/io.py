@@ -34,7 +34,8 @@ def _parse_matrix_lines(lines: list[tuple[int, str]]) -> BinaryMatrix:
         raise MatrixError("empty matrix file")
     lineno, header = lines[0]
     parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    # isdecimal: isdigit also takes digits such as '²' that int() rejects
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise MatrixError(f"line {lineno}: expected header 'm n', got {header!r}")
     m, n = int(parts[0]), int(parts[1])
     if len(lines) - 1 < m:
@@ -75,7 +76,7 @@ def parse_split(text: str) -> RowSplit:
     groups: dict[int, tuple[int, ...]] = {}
     for lineno, line in group_lines:
         head, sep, rest = line.partition(":")
-        if not sep or not head.strip().isdigit():
+        if not sep or not head.strip().isdecimal():
             raise MatrixError(f"line {lineno}: expected 'i: j1 j2 ...', got {line!r}")
         i = int(head)
         if i in groups:
@@ -106,8 +107,8 @@ def digraph_to_dot(digraph: Dag, labels=None, name: str = "containment") -> str:
     lines = [f"digraph {name} {{"]
     for v in range(digraph.n):
         lines.append(f'  v{v} [label="{labels[v]}"];')
-    for u, v in sorted(digraph.arcs):
-        lines.append(f"  v{u} -> v{v};")
+    for u, mask in enumerate(digraph.out_masks):
+        lines.extend(f"  v{u} -> v{v};" for v in bits_of(mask))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

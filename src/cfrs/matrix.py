@@ -39,7 +39,7 @@ def mask_of(indices: Iterable[int]) -> int:
     return mask
 
 
-def _transpose(masks: Sequence[int], size: int) -> tuple[int, ...]:
+def transpose(masks: Sequence[int], size: int) -> tuple[int, ...]:
     """Bitsets over the indices of ``masks``, one per bit position < size."""
     out = [0] * size
     for i, mask in enumerate(masks):
@@ -139,7 +139,7 @@ class BinaryMatrix:
             raise MatrixError("matrix needs at least one row and one column")
         full = (1 << m) - 1
         cols = tuple(mask & full for mask in masks)
-        matrix = cls.from_row_masks(len(cols), _transpose(cols, m),
+        matrix = cls.from_row_masks(len(cols), transpose(cols, m),
                                     row_labels, col_labels)
         matrix.__dict__["col_masks"] = cols
         return matrix
@@ -160,7 +160,7 @@ class BinaryMatrix:
     @cached_property
     def col_masks(self) -> tuple[int, ...]:
         """Column supports as bitsets over row indices."""
-        return _transpose(self.row_masks, self.n)
+        return transpose(self.row_masks, self.n)
 
 
 @dataclass(frozen=True)
@@ -222,8 +222,11 @@ def find_conflict(matrix: BinaryMatrix) -> Optional[ConflictWitness]:
     """Return the first conflicting column pair, or None if conflict-free.
 
     Deterministic: the returned (col_i, col_j, r, r2, r3) tuple is the
-    lexicographically smallest witness.
+    lexicographically smallest witness.  Only a matrix that the phylogeny
+    sweep rejects as not laminar gets the scan over column pairs.
     """
+    if _laminar_tree(matrix) is not None:
+        return None
     masks = matrix.col_masks
     for i in range(matrix.n):
         for j in range(i + 1, matrix.n):
@@ -244,7 +247,8 @@ def column_support(matrix: BinaryMatrix, col: int) -> frozenset[int]:
 
 
 def reduce_columns(matrix: BinaryMatrix) -> ColumnReduction:
-    """Collapse identical columns, keeping the first occurrence of each."""
+    """Collapse identical columns, keeping the first occurrence of each; a
+    matrix whose columns are already distinct is its own reduction."""
     class_of: list[int] = []
     representative: list[int] = []
     seen: dict[int, int] = {}
@@ -253,7 +257,7 @@ def reduce_columns(matrix: BinaryMatrix) -> ColumnReduction:
             seen[mask] = len(representative)
             representative.append(j)
         class_of.append(seen[mask])
-    reduced = BinaryMatrix.from_col_masks(
+    reduced = matrix if len(representative) == matrix.n else BinaryMatrix.from_col_masks(
         matrix.m,
         tuple(matrix.col_masks[j] for j in representative),
         matrix.row_labels,
@@ -358,6 +362,25 @@ class PhyloTree:
         return frozenset(bits_of(self.node_masks[node]))
 
 
+def _laminar_tree(matrix: BinaryMatrix) -> Optional[tuple]:
+    """The sweep of :func:`build_phylogeny`: ``(node_masks, parent,
+    row_node)`` of its tree, or None if the supports are not laminar."""
+    node_masks = ((1 << matrix.m) - 1,) + tuple(dict.fromkeys(matrix.col_masks))
+    parent: list[Optional[int]] = [None] + [0] * (len(node_masks) - 1)
+    covered = [0] * len(node_masks)
+    row_node = [0] * matrix.m
+    for v in sorted(range(1, len(node_masks)), key=lambda u: -node_masks[u].bit_count()):
+        mask = node_masks[v]
+        p = row_node[(mask & -mask).bit_length() - 1]
+        if mask & ~node_masks[p] or (p and mask == node_masks[p]) or mask & covered[p]:
+            return None
+        covered[p] |= mask
+        parent[v] = p
+        for r in bits_of(mask):
+            row_node[r] = v
+    return node_masks, tuple(parent), tuple(row_node)
+
+
 def build_phylogeny(matrix: BinaryMatrix) -> PhyloTree:
     """Arrange the distinct column supports of a conflict-free matrix as a tree.
 
@@ -369,28 +392,15 @@ def build_phylogeny(matrix: BinaryMatrix) -> PhyloTree:
     each row, the smallest support seen so far that holds it.  In a laminar
     family every larger support meeting a support contains it, so a
     support's parent is the current node of any of its rows; then the
-    support takes over its rows.  The cost is the total support size plus a
-    sort.
+    support takes over its rows.  The family is laminar iff each support
+    sits properly in its parent and siblings are disjoint, which makes each
+    parent the minimal proper superset.  Cost: total support size + a sort.
     """
-    witness = find_conflict(matrix)
-    if witness is not None:
+    tree = _laminar_tree(matrix)
+    if tree is None:
+        witness = find_conflict(matrix)
+        if witness is None:
+            raise InternalError("phylogeny sweep rejected a conflict-free matrix")
         raise ConflictError(witness, f"cannot build a phylogeny: conflict between "
                                      f"{witness.describe(matrix)}")
-    supports = reduce_columns(matrix).reduced.col_masks
-    node_masks = ((1 << matrix.m) - 1,) + supports
-    parent: list[Optional[int]] = [None] + [0] * len(supports)
-    row_node = [0] * matrix.m
-    for v in sorted(range(1, len(node_masks)), key=lambda u: -node_masks[u].bit_count()):
-        mask = node_masks[v]
-        parent[v] = row_node[(mask & -mask).bit_length() - 1]
-        for r in bits_of(mask):
-            row_node[r] = v
-    # every support sits properly inside its parent, and siblings are
-    # disjoint: together they make each parent the minimal proper superset
-    covered = [0] * len(node_masks)
-    for v in range(1, len(node_masks)):
-        mask, p = node_masks[v], parent[v]
-        if mask & ~node_masks[p] or (p and mask == node_masks[p]) or mask & covered[p]:
-            raise InternalError(f"phylogeny node {v} does not nest in its parent {p}")
-        covered[p] |= mask
-    return PhyloTree(node_masks, tuple(parent), tuple(row_node), matrix.row_labels)
+    return PhyloTree(*tree, matrix.row_labels)

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .containment import Dag, width
 from .errors import BudgetError, InternalError
-from .matrix import bits_of, mask_of
+from .matrix import bits_of, mask_of, transpose
 
 Chain = tuple[int, ...]
 ChainPartition = tuple[Chain, ...]
@@ -42,7 +42,7 @@ def _validated_weights(dag: Dag, weights: Sequence[int]) -> tuple[int, ...]:
 def is_monotone(dag: Dag, weights: Sequence[int]) -> bool:
     """True iff weight(u) <= weight(v) for every arc (u, v)."""
     w = _validated_weights(dag, weights)
-    return all(w[u] <= w[v] for u, v in dag.arcs)
+    return all(w[u] <= w[v] for u in range(dag.n) for v in bits_of(dag.out_masks[u]))
 
 
 def is_chain(dag: Dag, seq: Sequence[int]) -> bool:
@@ -57,12 +57,8 @@ def is_chain_partition(dag: Dag, partition: Sequence[Sequence[int]]) -> bool:
 
 
 def is_antichain(dag: Dag, vertices) -> bool:
-    vs = list(vertices)
-    return all(
-        not (dag.reach[a] >> b) & 1 and not (dag.reach[b] >> a) & 1
-        for i, a in enumerate(vs)
-        for b in vs[i + 1:]
-    )
+    mask = mask_of(vertices)
+    return not any(dag.reach[v] & mask for v in bits_of(mask))
 
 
 def is_tower(dag: Dag, tower: Sequence[Antichain]) -> bool:
@@ -204,10 +200,7 @@ def min_price_chain_partition(
     w = _validated_weights(dag, weights)
     if not is_monotone(dag, w):
         raise ValueError("weight function is not monotone on the digraph arcs")
-    reached_by = [0] * dag.n
-    for v in dag.topological_order:
-        for u in dag.in_(v):
-            reached_by[v] |= reached_by[u] | 1 << u
+    reached_by = transpose(dag.reach, dag.n)
 
     # by monotonicity the first remaining source in (weight, index) order has
     # minimum weight among the remaining vertices

@@ -5,7 +5,17 @@ from __future__ import annotations
 import itertools
 import random
 
-from cfrs import BinaryMatrix, Branching, CubicGraph, Dag, gen_random
+from cfrs import (
+    BinaryMatrix,
+    Branching,
+    CubicGraph,
+    Dag,
+    gen_block_tree,
+    gen_random,
+    gen_random_laminar,
+)
+from cfrs.matching import maximum_bipartite_matching
+from cfrs.matrix import ConflictWitness
 
 # rows (1,1),(1,0),(0,1): the two column supports cross, so the matrix has a
 # conflict and its digraph is two incomparable vertices
@@ -74,6 +84,26 @@ def random_monotone_weights(rng: random.Random, dag: Dag,
 def duplicate_column(matrix: BinaryMatrix, col: int) -> BinaryMatrix:
     """Append a copy of the given column."""
     return BinaryMatrix(tuple(row + (row[col],) for row in matrix.rows))
+
+
+def nested_prefix(m: int, rng: random.Random) -> BinaryMatrix:
+    """m x m matrix whose column j holds the first j+1 rows of a random row
+    order: one chain of m supports."""
+    order = list(range(m))
+    rng.shuffle(order)
+    return BinaryMatrix(tuple(
+        tuple(1 if order.index(i) <= j else 0 for j in range(m)) for i in range(m)
+    ))
+
+
+def with_last_pair_crossing(matrix: BinaryMatrix) -> BinaryMatrix:
+    """Append two columns that cross each other on three new rows and are
+    disjoint from every old column: the last column pair is the only
+    conflict when ``matrix`` is conflict-free."""
+    rows = [row + (0, 0) for row in matrix.rows]
+    zeros = (0,) * matrix.n
+    rows += [zeros + (1, 0), zeros + (1, 1), zeros + (0, 1)]
+    return BinaryMatrix(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -199,3 +229,96 @@ def random_branching(rng: random.Random, digraph: Dag, p_arc: float = 0.6):
         rng.choice(digraph.out(v)) if digraph.out(v) and rng.random() < p_arc else None
         for v in range(digraph.n)
     ))
+
+
+# ---------------------------------------------------------------------------
+# Pairwise references for the containment digraph and the conflict check
+
+
+def reference_kahn_order(n: int, arcs) -> tuple[int, ...]:
+    """Kahn's algorithm on a stack over sorted adjacency lists: sources
+    pushed in increasing order, then each popped vertex's out-neighbours in
+    increasing order as their in-degree drops to zero."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in sorted(set(arcs)):
+        out[u].append(v)
+        indeg[v] += 1
+    stack = [v for v in range(n) if indeg[v] == 0]
+    order = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                stack.append(w)
+    return tuple(order)
+
+
+def reference_containment(matrix: BinaryMatrix):
+    """``(supports, arcs)``: the distinct column supports in first-appearance
+    order and every proper inclusion between them, by comparing all pairs."""
+    supports: list[int] = []
+    for mask in matrix.col_masks:
+        if mask not in supports:
+            supports.append(mask)
+    k = len(supports)
+    arcs = frozenset((i, j) for i in range(k) for j in range(k)
+                     if i != j and supports[i] & ~supports[j] == 0)
+    return tuple(supports), arcs
+
+
+def reference_height(n: int, arcs) -> int:
+    """Longest path vertex count, by dynamic programming along Kahn's order."""
+    best = [1] * n
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        succ[u].append(v)
+    for v in reference_kahn_order(n, arcs):
+        for w in succ[v]:
+            best[w] = max(best[w], best[v] + 1)
+    return max(best, default=0)
+
+
+def reference_width(n: int, closure) -> int:
+    """Vertex count minus a maximum matching on the bipartite split of the
+    given transitively closed arc set."""
+    adj = [sorted(v for u, v in closure if u == w) for w in range(n)]
+    match_left, _ = maximum_bipartite_matching(adj, n)
+    return n - sum(1 for v in match_left if v is not None)
+
+
+def reference_first_conflict(matrix: BinaryMatrix):
+    """The lexicographically smallest conflict witness, by a scan over all
+    column pairs on row sets."""
+    cols = [frozenset(i for i in range(matrix.m) if matrix.rows[i][j])
+            for j in range(matrix.n)]
+    for i, j in itertools.combinations(range(matrix.n), 2):
+        both, only_i, only_j = cols[i] & cols[j], cols[i] - cols[j], cols[j] - cols[i]
+        if both and only_i and only_j:
+            return ConflictWitness(i, j, (min(both), min(only_i), min(only_j)))
+    return None
+
+
+def differential_corpus() -> list[BinaryMatrix]:
+    """Seeded random, laminar, block-tree and nested-prefix matrices, some
+    with duplicate columns, some whose only conflict is the last column
+    pair, and laminar ones with equal-size supports."""
+    rng = random.Random(4104)
+    corpus = random_corpus(60, max_side=8, seed=41)
+    corpus += [gen_random(rng.randint(2, 30), rng.randint(2, 40), density,
+                          rng.randint(0, 10**9))
+               for density in (0.15, 0.5, 0.85) for _ in range(4)]
+    laminar = [gen_random_laminar(m, k, seed)
+               for seed in range(3) for m, k in ((5, 9), (20, 35), (40, 79))]
+    # block trees: every level's supports are disjoint and of equal size
+    laminar += [gen_block_tree(2, 4), gen_block_tree(3, 3), gen_block_tree(4, 2),
+                BinaryMatrix(((1, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1),
+                              (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 1, 1)))]
+    laminar += [nested_prefix(m, random.Random(m)) for m in (1, 2, 7, 30)]
+    corpus += laminar
+    corpus += [with_last_pair_crossing(matrix) for matrix in laminar[::2]]
+    corpus += [duplicate_column(matrix, rng.randrange(matrix.n))
+               for matrix in corpus[::3]]
+    return corpus

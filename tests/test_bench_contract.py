@@ -1,0 +1,22 @@
+"""The benchmark's traced run wraps cfrs stage functions by module and name
+and reads the size of each containment digraph it sees; a rename in ``src/``
+would break only that run, so the names it relies on are checked here."""
+
+import importlib
+
+from cfrs import build_containment, gen_block_tree
+
+from bench.tracing import STAGES
+
+
+def test_every_traced_stage_resolves_to_a_function():
+    for module_name, func_name, _, _, _ in STAGES:
+        function = getattr(importlib.import_module(module_name), func_name, None)
+        assert callable(function), f"{module_name}.{func_name}"
+
+
+def test_containment_counter_reads_the_digraph():
+    (after,) = [after for _, _, span, _, after in STAGES if span == "containment.build"]
+    digraph = build_containment(gen_block_tree(3, 3))
+    assert digraph.n == 13
+    assert after(digraph) == {"containment.k": 13, "containment.arcs": len(digraph.arcs)}

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,26 +13,33 @@ from cfrs import (
     transitive_closure,
     width,
 )
-from cfrs.matrix import BinaryMatrix
+from cfrs.matrix import BinaryMatrix, mask_of
 
 from tests.helpers import (
     CROSSING_PAIR,
     NESTED_PAIR,
+    differential_corpus,
     duplicate_column,
     oracle_longest_chain,
     oracle_max_antichain_size,
     random_corpus,
+    reference_containment,
+    reference_height,
+    reference_kahn_order,
+    reference_width,
 )
 from tests.strategies import dags
 
 
 def test_dag_rejects_cycles_and_bad_arcs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="digraph contains a cycle"):
         Dag(2, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="self-loop at vertex 0"):
         Dag(2, [(0, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"arc \(0,2\) is out of range"):
         Dag(2, [(0, 2)])
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        Dag(-1)
 
 
 def test_build_containment_nested():
@@ -120,3 +129,48 @@ def test_height_width_invariant_under_duplicate_columns():
         assert d0.supports == d1.supports
         assert height(d0) == height(d1)
         assert width(d0) == width(d1)
+
+
+def _masks(n, arcs, head):
+    return tuple(mask_of(arc[1 - head] for arc in arcs if arc[head] == v) for v in range(n))
+
+
+def _check_against_reference(dag, arcs, closure):
+    n = dag.n
+    assert dag.arcs == arcs
+    assert dag.out_masks == _masks(n, arcs, 0)
+    assert dag.in_masks == _masks(n, arcs, 1)
+    assert all(dag.out(v) == tuple(sorted(w for u, w in arcs if u == v)) and
+               dag.in_(v) == tuple(sorted(u for u, w in arcs if w == v))
+               for v in range(n))
+    assert dag.reach == _masks(n, closure, 0)
+    assert dag.topological_order == reference_kahn_order(n, arcs)
+    assert height(dag) == reference_height(n, arcs)
+    assert width(dag) == reference_width(n, closure)
+    if n <= 9:
+        assert width(dag) == oracle_max_antichain_size(dag)
+
+
+def test_containment_masks_match_pairwise_reference():
+    for matrix in differential_corpus():
+        d = build_containment(matrix)
+        supports, arcs = reference_containment(matrix)
+        assert d.supports == supports
+        # proper inclusion is transitive: the arcs are their own closure
+        _check_against_reference(d, arcs, arcs)
+
+
+def test_plain_dag_masks_match_reference_on_random_arc_lists():
+    rng = random.Random(8086)
+    for _ in range(400):
+        n = rng.randint(0, 12)
+        label = list(range(n))
+        rng.shuffle(label)
+        arcs = [(label[u], label[v]) for u in range(n) for v in range(u + 1, n)
+                if rng.random() < rng.choice((0.1, 0.3, 0.6))]
+        listed = arcs + rng.sample(arcs, len(arcs) // 3)  # repeated arcs
+        rng.shuffle(listed)
+        closure = set(arcs)
+        for w in range(n):  # Warshall
+            closure |= {(u, v) for u, x in closure if x == w for y, v in closure if y == w}
+        _check_against_reference(Dag(n, listed), frozenset(arcs), frozenset(closure))

@@ -29,6 +29,15 @@ def test_matrix_parse_errors():
     for bad in ("", "2\n11\n01\n", "2 2\n11\n", "2 2\n11\n0x\n", "1 1\n1\nextra\n"):
         with pytest.raises(MatrixError):
             parse_matrix(bad)
+    # '²' passes str.isdigit but int() rejects it
+    with pytest.raises(MatrixError, match="line 2: expected header 'm n'"):
+        parse_matrix("# header\n² 1\n1\n")
+
+
+def test_header_and_group_numbers_accept_what_they_accepted():
+    # decimal digits of other scripts were accepted and still are
+    assert parse_matrix("\u0661 \u0662\n11\n") == parse_matrix("1 2\n11\n")
+    assert parse_split("1 1\n1\n\n\u0661: 1\n").groups == ((0,),)
 
 
 def test_split_round_trip():
@@ -49,6 +58,8 @@ def test_split_parse_errors():
         parse_split("2 2\n11\n01\n\n1: 1\n3: 2\n")  # gap in group ids
     with pytest.raises(MatrixError):
         parse_split("2 2\n11\n01\n\n1: 0\n2: 2\n")  # zero index
+    with pytest.raises(MatrixError, match="line 5: expected 'i: j1 j2 ...'"):
+        parse_split("2 2\n11\n01\n\n²: 1\n2: 2\n")  # isdigit, not int()
 
 
 def test_digraph_dot_labels_supports():

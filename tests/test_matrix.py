@@ -3,7 +3,6 @@ from hypothesis import given, settings
 
 from cfrs import (
     BinaryMatrix,
-    ColumnReduction,
     ConflictError,
     InternalError,
     MatrixError,
@@ -26,10 +25,13 @@ from tests.helpers import (
     CROSSING_PAIR,
     IDENTITY_2,
     NESTED_PAIR,
+    differential_corpus,
     duplicate_column,
     oracle_has_conflict,
     random_corpus,
+    reference_first_conflict,
     reference_phylogeny,
+    with_last_pair_crossing,
 )
 from tests.strategies import binary_matrices
 
@@ -88,7 +90,7 @@ def test_reduce_columns_collapses_duplicates():
 
 def test_reduce_columns_identity_on_distinct():
     red = reduce_columns(CROSSING_PAIR)
-    assert red.reduced.rows == CROSSING_PAIR.rows
+    assert red.reduced is CROSSING_PAIR
     assert red.class_of == (0, 1)
 
 
@@ -272,10 +274,47 @@ def test_phylogeny_matches_exhaustive_reference_on_laminar_matrices():
 
 
 def test_phylogeny_self_check_raises_internal_error(monkeypatch):
-    # a reduction handing back crossing supports breaks the nesting check
+    # a sweep rejecting a matrix that the pair scan finds conflict-free
     import cfrs.matrix
 
-    monkeypatch.setattr(cfrs.matrix, "reduce_columns",
-                        lambda matrix: ColumnReduction(CROSSING_PAIR, (0, 1), (0, 1)))
-    with pytest.raises(InternalError, match="node 2 does not nest in its parent 1"):
+    monkeypatch.setattr(cfrs.matrix, "_laminar_tree", lambda matrix: None)
+    with pytest.raises(InternalError, match="sweep rejected a conflict-free matrix"):
         build_phylogeny(BinaryMatrix(((1, 1), (1, 0), (1, 1))))
+
+
+def test_find_conflict_matches_pair_scan_and_is_laminar_on_corpus():
+    corpus = differential_corpus()
+    assert sum(is_laminar(matrix) for matrix in corpus) >= 30
+    for matrix in corpus:
+        witness = find_conflict(matrix)
+        assert witness == reference_first_conflict(matrix)
+        assert (witness is None) == is_laminar(matrix)
+        if witness is None:
+            tree = build_phylogeny(matrix)
+            assert (tree.node_masks, tree.parent, tree.row_node) == reference_phylogeny(matrix)
+        else:
+            with pytest.raises(ConflictError) as err:
+                build_phylogeny(matrix)
+            assert err.value.witness == witness
+
+
+def test_conflict_in_the_last_column_pair_only():
+    for matrix in (gen_block_tree(3, 3), gen_random_laminar(30, 50, 2)):
+        crossed = with_last_pair_crossing(matrix)
+        witness = find_conflict(crossed)
+        assert witness == reference_first_conflict(crossed)
+        n, m = crossed.n, crossed.m
+        assert (witness.col_i, witness.col_j) == (n - 2, n - 1)
+        assert witness.rows == (m - 2, m - 3, m - 1)
+        with pytest.raises(ConflictError):
+            build_phylogeny(crossed)
+
+
+def test_equal_size_supports_sweep():
+    # disjoint equal-size supports are laminar, overlapping ones cross
+    disjoint = BinaryMatrix(((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1)))
+    assert find_conflict(disjoint) is None
+    assert build_phylogeny(disjoint).parent == (None, 0, 0, 0)
+    overlapping = BinaryMatrix(((1, 0), (1, 1), (0, 1)))
+    assert find_conflict(overlapping) == reference_first_conflict(overlapping)
+    assert find_conflict(overlapping).rows == (1, 0, 2)
