@@ -230,11 +230,20 @@ def _exact_minimize(
     ``cost(uncovered_mask)`` over all branchings.
 
     Depth-first over per-vertex out-choices (None first, then neighbors in
-    index order) with branch-and-bound; a vertex's cost is accumulated the
-    moment its last in-neighbor has chosen, so the running total counts
-    exactly the fully decided vertices.  The bound is primed with the empty
-    branching and two greedy ones.  Returns the first optimum reached in the
-    fixed search order.
+    index order) with branch-and-bound.  The running total is a look-ahead
+    lower bound: vertex u is charged ``cost(supports[u] & ~cover[u] &
+    ~suf[u])``, where ``suf[u]`` is the union of the supports of u's
+    in-neighbors that have not chosen yet (suffix ORs over the decision
+    order, precomputed once).  Only the out-neighbors of the vertex that
+    just chose change their charge.  ``cover | suf`` can only shrink along
+    a path and ``cost`` is monotone, so the total never overestimates any
+    completion; at a leaf ``suf`` is empty and the total is the exact cost.
+    At the root it already charges every source its full support.
+
+    The bound is primed with the empty branching and two greedy ones, and a
+    subtree is entered only while its total is below the incumbent.  Every
+    branching cheaper than the incumbent is therefore reached, so the result
+    is still the first optimum in the fixed search order.
     """
     k = digraph.n
     states = branching_state_count(digraph)
@@ -265,9 +274,15 @@ def _exact_minimize(
     )
     bound = min(total(c) for c in ((None,) * k, smallest, largest)) + 1
 
-    pending = [mask.bit_count() for mask in digraph.in_masks]
+    # suf[u][p]: union of the supports of the last p in-neighbors of u to
+    # choose; every in-neighbor has an out-arc, so it is a chooser
+    suf: list[list[int]] = [[0] for _ in range(k)]
+    for v in reversed(choosers):
+        for u in out_nbrs[v]:
+            suf[u].append(suf[u][-1] | supports[v])
+    pending = [len(s) - 1 for s in suf]
     cover = [0] * k
-    base = sum(cost(supports[v]) for v in range(k) if pending[v] == 0)
+    charge = [cost(supports[u] & ~suf[u][-1]) for u in range(k)]
     choice: list[Optional[int]] = [None] * k
     best: Optional[tuple[Optional[int], ...]] = None
 
@@ -275,8 +290,10 @@ def _exact_minimize(
         nonlocal bound, best
         if t == len(choosers):
             if acc < bound:
-                bound = acc
-                best = tuple(choice)
+                best, bound = tuple(choice), acc
+                if total(best) != acc:
+                    raise InternalError(f"exact search charged {acc} for a branching "
+                                        f"costing {total(best)}")
             return
         v = choosers[t]
         for c in (None, *out_nbrs[v]):
@@ -285,20 +302,23 @@ def _exact_minimize(
             if c is not None:
                 saved = cover[c]
                 cover[c] |= supports[v]
-            gained = 0
+            old = []
+            delta = 0
             for u in out_nbrs[v]:
                 pending[u] -= 1
-                if pending[u] == 0:
-                    gained += cost(supports[u] & ~cover[u])
-            if acc + gained < bound:
-                descend(t + 1, acc + gained)
-            for u in out_nbrs[v]:
+                old.append(charge[u])
+                charge[u] = cost(supports[u] & ~(cover[u] | suf[u][pending[u]]))
+                delta += charge[u] - old[-1]
+            if acc + delta < bound:
+                descend(t + 1, acc + delta)
+            for u, before in zip(out_nbrs[v], old):
                 pending[u] += 1
+                charge[u] = before
             if c is not None:
                 cover[c] = saved
             choice[v] = None
 
-    descend(0, base)
+    descend(0, sum(charge))
     if best is None:
         raise InternalError("exact search ended without reaching its primed bound")
     return Branching(best), bound

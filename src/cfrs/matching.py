@@ -43,18 +43,40 @@ def maximum_bipartite_matching(
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_right[v]
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        dist[u] = _UNSEEN
-        return False
+    def augment(u: int) -> None:
+        """Depth-first search for an augmenting path along the BFS layers,
+        on an explicit stack: ``path`` holds the left vertices above u and
+        ``at`` the index of the neighbor each of them descended through;
+        neighbors are tried in adjacency order, dead ends leave the layering."""
+        path: list[int] = []
+        at: list[int] = []
+        i = 0
+        while True:
+            nbrs = adj[u]
+            deeper = dist[u] + 1
+            for i in range(i, len(nbrs)):
+                w = match_right[nbrs[i]]
+                if w is None:
+                    path.append(u)
+                    at.append(i)
+                    for u, i in zip(path, at):
+                        v = adj[u][i]
+                        match_left[u] = v
+                        match_right[v] = u
+                    return
+                if dist[w] == deeper:
+                    path.append(u)
+                    at.append(i)
+                    u, i = w, 0
+                    break
+            else:
+                dist[u] = _UNSEEN
+                if not path:
+                    return
+                u, i = path.pop(), at.pop() + 1
 
     while bfs():
         for u in range(n_left):
             if match_left[u] is None:
-                dfs(u)
+                augment(u)
     return match_left, match_right

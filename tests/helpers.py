@@ -14,6 +14,7 @@ from cfrs import (
     gen_random,
     gen_random_laminar,
 )
+from cfrs.branching import _decision_order
 from cfrs.matching import maximum_bipartite_matching
 from cfrs.matrix import ConflictWitness
 
@@ -46,6 +47,15 @@ def q3() -> CubicGraph:
     return CubicGraph(8, tuple(
         (u, u ^ bit) for u in range(8) for bit in (1, 2, 4) if u < (u ^ bit)
     ))
+
+
+def prism(n: int, rim_step: int) -> CubicGraph:
+    """Outer n-cycle, spokes and an inner cycle of the given step: the
+    n-prism for step 1, the Petersen graph for n=5 and step 2."""
+    outer = [(i, (i + 1) % n) for i in range(n)]
+    spokes = [(i, n + i) for i in range(n)]
+    inner = [(n + i, n + (i + rim_step) % n) for i in range(n)]
+    return CubicGraph(2 * n, tuple(outer + spokes + inner))
 
 
 def random_corpus(count: int, max_side: int = 6, seed: int = 20240) -> list[BinaryMatrix]:
@@ -322,3 +332,117 @@ def differential_corpus() -> list[BinaryMatrix]:
     corpus += [duplicate_column(matrix, rng.randrange(matrix.n))
                for matrix in corpus[::3]]
     return corpus
+
+
+# ---------------------------------------------------------------------------
+# The exact search and the matching as they were before their rewrites
+
+
+def reference_exact_minimize(digraph, cost):
+    """``(Branching, value)``: the first minimum of the summed ``cost`` of
+    the uncovered masks in the exact solver's search order, by the earlier
+    branch-and-bound that charges a vertex only once its last in-neighbor
+    has chosen."""
+    k = digraph.n
+    supports = digraph.supports
+    out_nbrs = [digraph.out(v) for v in range(k)]
+    choosers = [v for v in _decision_order(digraph) if out_nbrs[v]]
+
+    def total(choice):
+        cover = [0] * k
+        for u, c in enumerate(choice):
+            if c is not None:
+                cover[c] |= supports[u]
+        return sum(cost(supports[v] & ~cover[v]) for v in range(k))
+
+    smallest = tuple(
+        min(out_nbrs[v], key=lambda u: (supports[u].bit_count(), u))
+        if out_nbrs[v] else None
+        for v in range(k)
+    )
+    largest = tuple(
+        max(out_nbrs[v], key=lambda u: (supports[u].bit_count(), -u))
+        if out_nbrs[v] else None
+        for v in range(k)
+    )
+    bound = min(total(c) for c in ((None,) * k, smallest, largest)) + 1
+
+    pending = [mask.bit_count() for mask in digraph.in_masks]
+    cover = [0] * k
+    base = sum(cost(supports[v]) for v in range(k) if pending[v] == 0)
+    choice = [None] * k
+    best = None
+
+    def descend(t, acc):
+        nonlocal bound, best
+        if t == len(choosers):
+            if acc < bound:
+                bound = acc
+                best = tuple(choice)
+            return
+        v = choosers[t]
+        for c in (None, *out_nbrs[v]):
+            choice[v] = c
+            saved = 0
+            if c is not None:
+                saved = cover[c]
+                cover[c] |= supports[v]
+            gained = 0
+            for u in out_nbrs[v]:
+                pending[u] -= 1
+                if pending[u] == 0:
+                    gained += cost(supports[u] & ~cover[u])
+            if acc + gained < bound:
+                descend(t + 1, acc + gained)
+            for u in out_nbrs[v]:
+                pending[u] += 1
+            if c is not None:
+                cover[c] = saved
+            choice[v] = None
+
+    descend(0, base)
+    return Branching(best), bound
+
+
+def reference_maximum_bipartite_matching(adj, n_right):
+    """Hopcroft-Karp with a recursive augmenting-path search."""
+    n_left = len(adj)
+    match_left = [None] * n_left
+    match_right = [None] * n_right
+    dist = [0] * n_left
+    unseen = -1
+
+    def bfs():
+        queue = []
+        for u in range(n_left):
+            if match_left[u] is None:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = unseen
+        found = False
+        for u in queue:
+            for v in adj[u]:
+                w = match_right[v]
+                if w is None:
+                    found = True
+                elif dist[w] == unseen:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def dfs(u):
+        for v in adj[u]:
+            w = match_right[v]
+            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
+                match_left[u] = v
+                match_right[v] = u
+                return True
+        dist[u] = unseen
+        return False
+
+    while bfs():
+        for u in range(n_left):
+            if match_left[u] is None:
+                dfs(u)
+    return match_left, match_right

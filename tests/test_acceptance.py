@@ -44,6 +44,7 @@ from tests.helpers import (
     gap_weights,
     k4,
     k33,
+    prism,
     q3,
     random_corpus,
     random_dag,
@@ -131,7 +132,8 @@ def test_criterion_4_branching_split_round_trip():
 
 def test_criterion_5_hardness_reduction_equalities():
     started = time.perf_counter()
-    for name, graph in (("K4", k4()), ("K3,3", k33()), ("Q3", q3())):
+    for name, graph in (("K4", k4()), ("K3,3", k33()), ("Q3", q3()),
+                        ("5-prism", prism(5, 1)), ("Petersen", prism(5, 2))):
         tau = brute_force_vertex_cover(graph)
         vc = build_containment(gen_vc_reduction(graph))
         ib = build_containment(gen_ib_reduction(graph))
@@ -142,7 +144,7 @@ def test_criterion_5_hardness_reduction_equalities():
     assert exact_min_irreducible(build_containment(gen_ib_reduction(k4())))[1] == 9
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
-    passed(f"criterion 5: reduction equalities on K4, K3,3, Q3 ({elapsed:.2f}s)")
+    passed(f"criterion 5: reduction equalities on K4, K3,3, Q3, 5-prism, Petersen ({elapsed:.2f}s)")
 
 
 def test_criterion_6_approximation_guarantees():

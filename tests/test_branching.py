@@ -20,6 +20,7 @@ from cfrs import (
     exact_min_irreducible,
     exact_min_uncovered,
     gen_block_tree,
+    gen_ib_reduction,
     gen_random_laminar,
     gen_vc_reduction,
     irreducible_vertices,
@@ -38,11 +39,14 @@ from tests.helpers import (
     CROSSING_PAIR,
     NESTED_PAIR,
     duplicate_column,
+    k33,
     k4,
+    q3,
     random_branching,
     random_corpus,
     reference_branching_split,
     reference_distinct_2_split,
+    reference_exact_minimize,
 )
 
 D_CROSS = build_containment(CROSSING_PAIR)
@@ -184,15 +188,50 @@ def test_exact_vc_reduction_k4():
     assert exact_min_uncovered(d)[1] == 35  # 8 * 4 + vertex cover 3
 
 
+def exact_corpus():
+    """Seeded random and laminar matrices, block trees, vc/ib reductions
+    of K4, K3,3 and Q3, and copies of some of them with a duplicate column."""
+    rng = random.Random(5150)
+    corpus = random_corpus(60, seed=16) + random_corpus(40, max_side=8, seed=515)
+    corpus += [gen_random_laminar(m, k, seed)
+               for seed in range(4) for m, k in ((4, 6), (8, 12), (12, 16))]
+    corpus += [gen_block_tree(2, 4), gen_block_tree(3, 3)]
+    corpus += [gen(graph()) for graph in (k4, k33, q3)
+               for gen in (gen_vc_reduction, gen_ib_reduction)]
+    corpus += [duplicate_column(matrix, rng.randrange(matrix.n))
+               for matrix in corpus[::4]]
+    return corpus
+
+
 def test_exact_matches_full_enumeration_on_corpus():
-    for matrix in random_corpus(60, seed=16):
+    # the look-ahead bound only prunes: the first optimum in the search
+    # order, hence the branching itself, is what the earlier search found
+    objectives = ((exact_min_uncovered, int.bit_count, uncovered_pairs),
+                  (exact_min_irreducible, lambda mask: 1 if mask else 0,
+                   irreducible_vertices))
+    enumerated = 0
+    for matrix in exact_corpus():
         d = build_containment(matrix)
-        if not enumerable(d, cap=400):
-            continue
-        best_rows = min(len(uncovered_pairs(d, b)) for b in iter_branchings(d))
-        best_distinct = min(len(irreducible_vertices(d, b)) for b in iter_branchings(d))
-        assert exact_min_uncovered(d)[1] == best_rows
-        assert exact_min_irreducible(d)[1] == best_distinct
+        for solve, cost, kept in objectives:
+            found = solve(d)
+            assert found == reference_exact_minimize(d, cost)
+            if enumerable(d, cap=400):
+                enumerated += 1
+                assert found[1] == min(len(kept(d, b)) for b in iter_branchings(d))
+    assert enumerated >= 100
+
+
+def test_exact_on_laminar_30x40_beyond_the_default_budget():
+    # the row optimum of a conflict-free matrix is m, and the distinct
+    # optimum lies between the source count and the distinct-row count
+    for seed in range(3):
+        matrix = gen_random_laminar(30, 40, seed)
+        d = build_containment(matrix)
+        states = branching_state_count(d)
+        sources = sum(1 for mask in d.in_masks if mask == 0)
+        assert exact_min_uncovered(d, budget=states)[1] == 30
+        distinct = exact_min_irreducible(d, budget=states)[1]
+        assert sources <= distinct <= count_distinct_rows(matrix)
 
 
 def test_exact_budget_error():
@@ -283,4 +322,29 @@ def test_branching_self_checks_survive_python_optimize(tmp_path):
                             capture_output=True, text=True, env=env, timeout=120)
     assert "debug: False" in result.stdout
     assert "raised: vertex 0 has two elementary out-arcs" in result.stdout
+    assert result.returncode == 0, result.stderr
+
+
+def test_exact_incumbent_check_survives_python_optimize():
+    # deciding every vertex twice leaves the first choice's cover behind,
+    # so the search undercharges a branching; the incumbent check must
+    # raise under -O
+    script = "\n".join((
+        "import cfrs.branching",
+        "from cfrs import BinaryMatrix, InternalError, build_containment, exact_min_uncovered",
+        "print('debug:', __debug__)",
+        "cfrs.branching._decision_order = lambda dag: list(range(dag.n)) * 2",
+        "fork = build_containment(BinaryMatrix(((1, 1, 1), (0, 1, 0), (0, 0, 1))))",
+        "try:",
+        "    exact_min_uncovered(fork)",
+        "except InternalError as exc:",
+        "    print('raised:', exc)",
+    ))
+    src = str(Path(cfrs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert "debug: False" in result.stdout
+    assert "raised: exact search charged 3 for a branching costing 4" in result.stdout
     assert result.returncode == 0, result.stderr
