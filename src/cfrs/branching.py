@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .containment import ContainmentDigraph, Dag, build_containment, elementary_arcs
 from .errors import BudgetError, InternalError, MatrixError
@@ -22,6 +22,7 @@ from .matrix import (
     Verdict,
     bits_of,
     reduce_columns,
+    transpose,
     verify_row_split,
 )
 
@@ -68,12 +69,13 @@ def validate_branching(digraph: Dag, branching: Branching) -> Verdict:
     return ACCEPT
 
 
-def _cover_masks(digraph: ContainmentDigraph, branching: Branching) -> list[int]:
-    cover = [0] * digraph.n
-    for u, v in enumerate(branching.choice):
+def _uncovered(supports: Sequence[int], choice: Sequence[Optional[int]]) -> list[int]:
+    """Per vertex, the rows of its support outside every chosen in-neighbor's."""
+    cover = [0] * len(choice)
+    for u, v in enumerate(choice):
         if v is not None:
-            cover[v] |= digraph.supports[u]
-    return cover
+            cover[v] |= supports[u]
+    return [mask & ~covered for mask, covered in zip(supports, cover)]
 
 
 def _checked(digraph: Dag, branching: Branching) -> None:
@@ -83,15 +85,10 @@ def _checked(digraph: Dag, branching: Branching) -> None:
 
 
 def _uncovered_by_row(digraph: ContainmentDigraph,
-                      branching: Branching) -> list[list[int]]:
-    """For each row, the increasing vertices that keep it uncovered."""
+                      branching: Branching) -> tuple[int, ...]:
+    """For each row, the bitset of the vertices that keep it uncovered."""
     _checked(digraph, branching)
-    cover = _cover_masks(digraph, branching)
-    by_row: list[list[int]] = [[] for _ in range(digraph.n_rows)]
-    for v in range(digraph.n):
-        for r in bits_of(digraph.supports[v] & ~cover[v]):
-            by_row[r].append(v)
-    return by_row
+    return transpose(_uncovered(digraph.supports, branching.choice), digraph.n_rows)
 
 
 def uncovered_pairs(digraph: ContainmentDigraph,
@@ -101,7 +98,7 @@ def uncovered_pairs(digraph: ContainmentDigraph,
     return tuple(
         (r, v)
         for r, vertices in enumerate(_uncovered_by_row(digraph, branching))
-        for v in vertices
+        for v in bits_of(vertices)
     )
 
 
@@ -109,10 +106,8 @@ def irreducible_vertices(digraph: ContainmentDigraph,
                          branching: Branching) -> frozenset[int]:
     """Vertices keeping at least one uncovered row."""
     _checked(digraph, branching)
-    cover = _cover_masks(digraph, branching)
-    return frozenset(
-        v for v in range(digraph.n) if digraph.supports[v] & ~cover[v]
-    )
+    uncovered = _uncovered(digraph.supports, branching.choice)
+    return frozenset(v for v, mask in enumerate(uncovered) if mask)
 
 
 def branching_split(matrix: BinaryMatrix, branching: Branching,
@@ -143,7 +138,7 @@ def branching_split(matrix: BinaryMatrix, branching: Branching,
     groups = []
     for vertices in by_row:
         start = len(rows)
-        rows.extend(reach_cols[v] for v in vertices)
+        rows.extend(reach_cols[v] for v in bits_of(vertices))
         groups.append(tuple(range(start, len(rows))))
     return RowSplit(BinaryMatrix.from_row_masks(matrix.n, rows), tuple(groups))
 
@@ -256,11 +251,7 @@ def _exact_minimize(
     choosers = [v for v in _decision_order(digraph) if out_nbrs[v]]
 
     def total(choice: tuple[Optional[int], ...]) -> int:
-        cover = [0] * k
-        for u, c in enumerate(choice):
-            if c is not None:
-                cover[c] |= supports[u]
-        return sum(cost(supports[v] & ~cover[v]) for v in range(k))
+        return sum(map(cost, _uncovered(supports, choice)))
 
     smallest = tuple(
         min(out_nbrs[v], key=lambda u: (supports[u].bit_count(), u))

@@ -73,8 +73,7 @@ def parse_edge_list(text: str) -> CubicGraph:
         raise MatrixError(str(exc)) from exc
 
 
-def gen_block_tree(d: int, h: int,
-                   max_cells: int = MAX_GENERATED_CELLS) -> BinaryMatrix:
+def gen_block_tree(d: int, h: int) -> BinaryMatrix:
     """Complete d-ary block hierarchy: d**(h-1) rows, (d**h - 1)/(d - 1) columns.
 
     Level-i columns (i = 1..h) are the aligned consecutive blocks of
@@ -85,8 +84,8 @@ def gen_block_tree(d: int, h: int,
         raise ValueError("need d >= 2 and h >= 2")
     m = d ** (h - 1)
     n = (d ** h - 1) // (d - 1)
-    if m * n > max_cells:
-        raise ValueError(f"{m}x{n} exceeds the size cap of {max_cells} cells")
+    if m * n > MAX_GENERATED_CELLS:
+        raise ValueError(f"{m}x{n} exceeds the size cap of {MAX_GENERATED_CELLS} cells")
     masks = []
     for i in range(1, h + 1):
         size = d ** (i - 1)

@@ -81,10 +81,10 @@ def parse_split(text: str) -> RowSplit:
         i = int(head)
         if i in groups:
             raise MatrixError(f"line {lineno}: duplicate group for row {i}")
-        try:
-            members = tuple(int(tok) - 1 for tok in rest.split())
-        except ValueError as exc:
-            raise MatrixError(f"line {lineno}: non-integer split-row index") from exc
+        tokens = rest.split()
+        if not all(tok.isdecimal() for tok in tokens):
+            raise MatrixError(f"line {lineno}: non-integer split-row index")
+        members = tuple(int(tok) - 1 for tok in tokens)
         if any(j < 0 for j in members):
             raise MatrixError(f"line {lineno}: split-row indices are 1-based")
         groups[i] = members
@@ -94,17 +94,17 @@ def parse_split(text: str) -> RowSplit:
     return RowSplit(matrix, tuple(groups[i] for i in range(1, count + 1)))
 
 
-def digraph_to_dot(digraph: Dag, labels=None, name: str = "containment") -> str:
+def digraph_to_dot(digraph: Dag) -> str:
     """DOT rendering with one node per vertex and one edge per arc.
 
-    Containment digraphs get support-set labels like "{r1,r3}" by default.
+    Containment digraphs get support-set labels like "{r1,r3}", other
+    digraphs their vertex numbers.
     """
-    if labels is None:
-        if isinstance(digraph, ContainmentDigraph):
-            labels = [digraph.support_label(v) for v in range(digraph.n)]
-        else:
-            labels = [str(v) for v in range(digraph.n)]
-    lines = [f"digraph {name} {{"]
+    if isinstance(digraph, ContainmentDigraph):
+        labels = [digraph.support_label(v) for v in range(digraph.n)]
+    else:
+        labels = [str(v) for v in range(digraph.n)]
+    lines = ["digraph containment {"]
     for v in range(digraph.n):
         lines.append(f'  v{v} [label="{labels[v]}"];')
     for u, mask in enumerate(digraph.out_masks):
@@ -113,9 +113,9 @@ def digraph_to_dot(digraph: Dag, labels=None, name: str = "containment") -> str:
     return "\n".join(lines) + "\n"
 
 
-def phylo_to_dot(tree: PhyloTree, name: str = "phylogeny") -> str:
+def phylo_to_dot(tree: PhyloTree) -> str:
     """DOT rendering of a phylogeny: support nodes plus boxed row leaves."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph phylogeny {"]
     for v, mask in enumerate(tree.node_masks):
         label = "{" + ",".join(tree.row_labels[r] for r in bits_of(mask)) + "}"
         lines.append(f'  n{v} [label="{label}"];')

@@ -1,11 +1,84 @@
-"""Maximum bipartite matching via Hopcroft-Karp."""
+"""Maximum bipartite matching on bitsets, grown one left vertex at a time.
+
+This is the package's one matcher.  Left vertices join a maximum matching
+one by one; before a vertex joins the matching is maximum, so (Berge) only
+the new vertex can start an augmenting path, and each join costs one
+breadth-first search for a shortest alternating path, with no recursion.
+On Fulkerson's bipartite split of a transitively closed DAG, where left and
+right copies index the same vertices, a Koenig pass reads a maximum
+antichain off the matching.
+"""
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
-_UNSEEN = -1
+from .errors import InternalError
+from .matrix import bits_of, mask_of
+
+
+class LiveMatching:
+    """Maximum matching of the left vertices added so far.
+
+    ``adj[u]`` is the bitset of right vertices adjacent to left vertex u, and
+    right vertices are 0..n_right-1.  On the split of a DAG's closure, left
+    copy u is adjacent to right copy w iff u reaches w; adding vertices as
+    sources keeps the members closed under reach, so this is a maximum
+    matching of the members' split, and their width grows exactly when
+    :meth:`augment` fails.
+    """
+
+    def __init__(self, adj: Sequence[int], n_right: int):
+        self.adj = adj
+        self.free_left = 0  # members whose left copy is unmatched
+        self.match_left: list[Optional[int]] = [None] * len(adj)
+        self.match_right: list[Optional[int]] = [None] * n_right
+
+    def augment(self, v: int) -> bool:
+        """Add left vertex v; True iff a shortest alternating path from it
+        to a free right vertex matched it."""
+        adj, match_left, match_right = self.adj, self.match_left, self.match_right
+        seen, via, frontier = 0, {}, [v]
+        while frontier:
+            next_frontier = []
+            for u in frontier:
+                fresh = adj[u] & ~seen
+                seen |= fresh
+                for w in bits_of(fresh):
+                    via[w] = u
+                    if match_right[w] is None:
+                        while w is not None:  # flip the path back to v
+                            u = via[w]
+                            match_right[w] = u
+                            match_left[u], w = w, match_left[u]
+                        return True
+                    next_frontier.append(match_right[w])
+            frontier = next_frontier
+        self.free_left |= 1 << v
+        return False
+
+    def antichain(self) -> int:
+        """On the split of a DAG's closure, a maximum antichain of the
+        members, as a mask (Koenig): the left copies reachable by alternating
+        paths from the free ones, minus the right copies they meet.  It
+        depends on the members, not the matching."""
+        adj, match_right = self.adj, self.match_right
+        z_left = frontier = self.free_left
+        z_right = 0
+        while frontier:
+            fresh = 0
+            for u in bits_of(frontier):
+                fresh |= adj[u]
+            fresh &= ~z_right
+            z_right |= fresh
+            frontier = 0
+            for w in bits_of(fresh):
+                frontier |= 1 << match_right[w]
+            z_left |= frontier
+        antichain = z_left & ~z_right
+        if antichain.bit_count() != self.free_left.bit_count():
+            raise InternalError("Koenig antichain size differs from the width")
+        return antichain
 
 
 def maximum_bipartite_matching(
@@ -13,70 +86,11 @@ def maximum_bipartite_matching(
 ) -> tuple[list[Optional[int]], list[Optional[int]]]:
     """Compute a maximum matching of a bipartite graph.
 
-    ``adj[u]`` lists the right-side neighbors of left vertex u.  The
-    adjacency order fixes the returned matching, so callers should pass
-    sorted lists when they need deterministic output.  Returns
-    ``(match_left, match_right)`` with None marking unmatched vertices.
+    ``adj[u]`` lists the right-side neighbors of left vertex u; the result
+    depends on these sets, not on their order.  Returns ``(match_left,
+    match_right)`` with None marking unmatched vertices.
     """
-    n_left = len(adj)
-    match_left: list[Optional[int]] = [None] * n_left
-    match_right: list[Optional[int]] = [None] * n_right
-    dist = [0] * n_left
-
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        for u in range(n_left):
-            if match_left[u] is None:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _UNSEEN
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = match_right[v]
-                if w is None:
-                    found = True
-                elif dist[w] == _UNSEEN:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def augment(u: int) -> None:
-        """Depth-first search for an augmenting path along the BFS layers,
-        on an explicit stack: ``path`` holds the left vertices above u and
-        ``at`` the index of the neighbor each of them descended through;
-        neighbors are tried in adjacency order, dead ends leave the layering."""
-        path: list[int] = []
-        at: list[int] = []
-        i = 0
-        while True:
-            nbrs = adj[u]
-            deeper = dist[u] + 1
-            for i in range(i, len(nbrs)):
-                w = match_right[nbrs[i]]
-                if w is None:
-                    path.append(u)
-                    at.append(i)
-                    for u, i in zip(path, at):
-                        v = adj[u][i]
-                        match_left[u] = v
-                        match_right[v] = u
-                    return
-                if dist[w] == deeper:
-                    path.append(u)
-                    at.append(i)
-                    u, i = w, 0
-                    break
-            else:
-                dist[u] = _UNSEEN
-                if not path:
-                    return
-                u, i = path.pop(), at.pop() + 1
-
-    while bfs():
-        for u in range(n_left):
-            if match_left[u] is None:
-                augment(u)
-    return match_left, match_right
+    live = LiveMatching([mask_of(nbrs) for nbrs in adj], n_right)
+    for u in range(len(adj)):
+        live.augment(u)
+    return live.match_left, live.match_right

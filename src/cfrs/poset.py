@@ -8,10 +8,11 @@ partition price equals the maximum tower value, and
 :func:`min_price_chain_partition` returns a partition together with a tower
 of matching value as a machine-checkable optimality certificate.
 
-All matching work runs on one maximum matching of Fulkerson's bipartite
-split of the transitive closure, grown one source at a time on bitsets: no
-adjacency list is built, and each added vertex costs one augmenting-path
-search plus, in the min-price recursion, one Koenig pass.
+All matching work runs on :class:`cfrs.matching.LiveMatching`: one maximum
+matching of Fulkerson's bipartite split of the transitive closure, grown one
+source at a time on the ``reach`` bitsets.  No adjacency list is built, and
+each added vertex costs one augmenting-path search plus, in the min-price
+recursion, one Koenig pass.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Optional, Sequence
 
 from .containment import Dag, width
 from .errors import BudgetError, InternalError
+from .matching import LiveMatching
 from .matrix import bits_of, mask_of, transpose
 
 Chain = tuple[int, ...]
@@ -89,69 +91,8 @@ def evaluate(partition, tower, weights) -> tuple[int, int]:
     return partition_price(partition, weights), tower_value(tower, weights)
 
 
-class _LiveMatching:
-    """Maximum matching on the bipartite closure of a vertex set grown by sources.
-
-    Left copy u is adjacent to right copy w iff u reaches w.  A source joins
-    with an isolated right copy, and its members stay closed under reach, so
-    ``reach[u]`` is u's neighbourhood and (Berge) only the new left copy can
-    start an augmenting path.  The width grows exactly when that search fails.
-    """
-
-    def __init__(self, reach: tuple[int, ...]):
-        self.reach = reach
-        self.free_left = 0  # members whose left copy is unmatched
-        self.match_left: list[Optional[int]] = [None] * len(reach)
-        self.match_right: list[Optional[int]] = [None] * len(reach)
-
-    def augment(self, v: int) -> bool:
-        """Add source v; True iff a shortest alternating path from its left
-        copy to a free right copy matched it."""
-        reach, match_left, match_right = self.reach, self.match_left, self.match_right
-        seen, via, frontier = 0, {}, [v]
-        while frontier:
-            next_frontier = []
-            for u in frontier:
-                fresh = reach[u] & ~seen
-                seen |= fresh
-                for w in bits_of(fresh):
-                    via[w] = u
-                    if match_right[w] is None:
-                        while w is not None:  # flip the path back to v
-                            u = via[w]
-                            match_right[w] = u
-                            match_left[u], w = w, match_left[u]
-                        return True
-                    next_frontier.append(match_right[w])
-            frontier = next_frontier
-        self.free_left |= 1 << v
-        return False
-
-    def antichain(self) -> int:
-        """A maximum antichain of the members, as a mask (Koenig): the left
-        copies reachable by alternating paths from the free ones, minus the
-        right copies they meet.  It depends on the members, not the matching."""
-        reach, match_right = self.reach, self.match_right
-        z_left = frontier = self.free_left
-        z_right = 0
-        while frontier:
-            fresh = 0
-            for u in bits_of(frontier):
-                fresh |= reach[u]
-            fresh &= ~z_right
-            z_right |= fresh
-            frontier = 0
-            for w in bits_of(fresh):
-                frontier |= 1 << match_right[w]
-            z_left |= frontier
-        antichain = z_left & ~z_right
-        if antichain.bit_count() != self.free_left.bit_count():
-            raise InternalError("Koenig antichain size differs from the width")
-        return antichain
-
-
-def _grown(dag: Dag) -> _LiveMatching:
-    live = _LiveMatching(dag.reach)
+def _grown(dag: Dag) -> LiveMatching:
+    live = LiveMatching(dag.reach, dag.n)
     for v in reversed(dag.topological_order):
         live.augment(v)
     return live
@@ -213,7 +154,7 @@ def min_price_chain_partition(
         remaining ^= 1 << v
         removal.append(v)
 
-    live = _LiveMatching(dag.reach)
+    live = LiveMatching(dag.reach, dag.n)
     chains: list[list[int]] = []
     tower: list[Antichain] = []
     for v in reversed(removal):

@@ -15,7 +15,6 @@ from cfrs import (
     gen_random_laminar,
 )
 from cfrs.branching import _decision_order
-from cfrs.matching import maximum_bipartite_matching
 from cfrs.matrix import ConflictWitness
 
 # rows (1,1),(1,0),(0,1): the two column supports cross, so the matrix has a
@@ -295,7 +294,7 @@ def reference_width(n: int, closure) -> int:
     """Vertex count minus a maximum matching on the bipartite split of the
     given transitively closed arc set."""
     adj = [sorted(v for u, v in closure if u == w) for w in range(n)]
-    match_left, _ = maximum_bipartite_matching(adj, n)
+    match_left, _ = reference_maximum_bipartite_matching(adj, n)
     return n - sum(1 for v in match_left if v is not None)
 
 

@@ -92,6 +92,12 @@ def test_rows_that_int_would_accept_are_rejected(row):
         parse_split(f"# split\n2 {width}\n{'1' * width}\n{row}\n\n1: 1\n2: 2\n")
 
 
+@pytest.mark.parametrize("token", ["1_0", "+1", "0b1"])
+def test_group_indices_that_int_would_accept_are_rejected(token):
+    with pytest.raises(MatrixError, match="line 5: non-integer split-row index"):
+        parse_split(f"2 2\n11\n10\n\n1: {token}\n2: 2\n")
+
+
 def test_split_round_trip_keeps_masks():
     split = identity_split(gen_block_tree(3, 3))
     back = parse_split(format_split(split))
