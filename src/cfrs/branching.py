@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .containment import ContainmentDigraph, Dag, build_containment, elementary_arcs
+from .containment import ContainmentDigraph, Dag, elementary_arcs
 from .errors import BudgetError, InternalError, MatrixError
 from .matrix import (
     ACCEPT,
@@ -111,7 +111,7 @@ def irreducible_vertices(digraph: ContainmentDigraph,
 
 
 def branching_split(matrix: BinaryMatrix, branching: Branching,
-                    digraph: Optional[ContainmentDigraph] = None) -> RowSplit:
+                    digraph: ContainmentDigraph) -> RowSplit:
     """The conflict-free row split induced by a branching.
 
     One split row per uncovered pair (r, v), holding a 1 in column j exactly
@@ -120,17 +120,17 @@ def branching_split(matrix: BinaryMatrix, branching: Branching,
     columns.  Row r's group collects its own uncovered pairs.  Rows are
     ordered by (source row, vertex) for reproducible files.
     """
-    d = digraph if digraph is not None else build_containment(matrix)
-    if d.n_rows != matrix.m or len(d.class_of) != matrix.n:
+    if digraph.n_rows != matrix.m or len(digraph.class_of) != matrix.n:
         raise ValueError("digraph does not belong to this matrix")
-    by_row = _uncovered_by_row(d, branching)
+    by_row = _uncovered_by_row(digraph, branching)
     # column mask of everything reachable along the branching, incl. v
     # itself; choice targets have strictly larger supports, so fill the
     # memo by decreasing support size
-    reach_cols = [0] * d.n
-    for j, v in enumerate(d.class_of):
+    supports = digraph.supports
+    reach_cols = [0] * digraph.n
+    for j, v in enumerate(digraph.class_of):
         reach_cols[v] |= 1 << j
-    for v in sorted(range(d.n), key=lambda u: d.supports[u].bit_count(), reverse=True):
+    for v in sorted(range(digraph.n), key=lambda u: supports[u].bit_count(), reverse=True):
         nxt = branching.choice[v]
         if nxt is not None:
             reach_cols[v] |= reach_cols[nxt]
@@ -153,7 +153,7 @@ def split_to_branching(matrix: BinaryMatrix, split: RowSplit) -> Branching:
     uncovered-pair count is at most the split's row count and its
     irreducible-vertex count at most the split's distinct-row count.
     """
-    verdict = verify_row_split(matrix, split, require_conflict_free=True)
+    verdict = verify_row_split(matrix, split)
     if not verdict:
         raise MatrixError(f"not a conflict-free row split: {verdict.reason}")
     red = reduce_columns(matrix)
@@ -161,8 +161,7 @@ def split_to_branching(matrix: BinaryMatrix, split: RowSplit) -> Branching:
     split_masks = tuple(split.matrix.col_masks[j] for j in red.representative)
     if len(set(split_masks)) != k:
         raise InternalError("two distinct source columns coincide in a verified split")
-    elem = elementary_arcs(ContainmentDigraph(
-        split_masks, split.matrix.m, split.matrix.row_labels, tuple(range(k)), tuple(range(k))))
+    elem = elementary_arcs(ContainmentDigraph(split_masks, split.matrix.m, tuple(range(k))))
     choice: list[Optional[int]] = [None] * k
     for i, j in sorted(elem):
         if choice[i] is not None:
@@ -277,39 +276,54 @@ def _exact_minimize(
     choice: list[Optional[int]] = [None] * k
     best: Optional[tuple[Optional[int], ...]] = None
 
-    def descend(t: int, acc: int) -> None:
-        nonlocal bound, best
-        if t == len(choosers):
-            if acc < bound:
-                best, bound = tuple(choice), acc
-                if total(best) != acc:
-                    raise InternalError(f"exact search charged {acc} for a branching "
+    # the search runs on an explicit stack: depth t decides choosers[t],
+    # ``tried[t]`` counts the options taken there (None first, then the
+    # out-neighbors in order) and ``acc[t]`` is the total on entering it
+    depth = len(choosers)
+    tried = [0] * depth
+    acc = [0] * (depth + 1)
+    saved = [0] * depth
+    olds = [[0] * len(out_nbrs[v]) for v in choosers]
+    acc[0] = sum(charge)
+    t = 0
+    while t >= 0:
+        if t == depth:
+            if acc[t] < bound:
+                best, bound = tuple(choice), acc[t]
+                if total(best) != bound:
+                    raise InternalError(f"exact search charged {bound} for a branching "
                                         f"costing {total(best)}")
-            return
+            t -= 1
+            continue
         v = choosers[t]
-        for c in (None, *out_nbrs[v]):
-            choice[v] = c
-            saved = 0
-            if c is not None:
-                saved = cover[c]
-                cover[c] |= supports[v]
-            old = []
-            delta = 0
-            for u in out_nbrs[v]:
-                pending[u] -= 1
-                old.append(charge[u])
-                charge[u] = cost(supports[u] & ~(cover[u] | suf[u][pending[u]]))
-                delta += charge[u] - old[-1]
-            if acc + delta < bound:
-                descend(t + 1, acc + delta)
-            for u, before in zip(out_nbrs[v], old):
+        nbrs, old = out_nbrs[v], olds[t]
+        i = tried[t]
+        if i:  # undo option i - 1
+            for j, u in enumerate(nbrs):
                 pending[u] += 1
-                charge[u] = before
-            if c is not None:
-                cover[c] = saved
+                charge[u] = old[j]
+            if i > 1:
+                cover[nbrs[i - 2]] = saved[t]
             choice[v] = None
+        if i > len(nbrs):
+            tried[t] = 0
+            t -= 1
+            continue
+        tried[t] = i + 1
+        if i:
+            c = choice[v] = nbrs[i - 1]
+            saved[t] = cover[c]
+            cover[c] |= supports[v]
+        delta = 0
+        for j, u in enumerate(nbrs):
+            pending[u] -= 1
+            old[j] = charge[u]
+            charge[u] = cost(supports[u] & ~(cover[u] | suf[u][pending[u]]))
+            delta += charge[u] - old[j]
+        if acc[t] + delta < bound:
+            acc[t + 1] = acc[t] + delta
+            t += 1
 
-    descend(0, sum(charge))
     if best is None:
         raise InternalError("exact search ended without reaching its primed bound")
     return Branching(best), bound

@@ -130,13 +130,11 @@ class ContainmentDigraph(Dag):
 
     Vertex i is the support of the i-th distinct column (first-appearance
     order), stored as a bitset over row indices; arcs are all proper
-    inclusions.  ``class_of`` maps original columns to vertices and
-    ``representative`` maps each vertex to its smallest original column.
+    inclusions.  ``class_of`` maps original columns to vertices.
     """
 
     def __init__(self, supports: tuple[int, ...], n_rows: int,
-                 row_labels: tuple[str, ...],
-                 class_of: tuple[int, ...], representative: tuple[int, ...]):
+                 class_of: tuple[int, ...]):
         k = len(supports)
         if len(set(supports)) != k or 0 in supports:
             raise ValueError("vertex supports must be distinct and nonempty")
@@ -153,25 +151,13 @@ class ContainmentDigraph(Dag):
         self.out_masks = self.reach = tuple(out)  # transitively closed
         self.supports = tuple(supports)
         self.n_rows = n_rows
-        self.row_labels = tuple(row_labels)
         self.class_of = tuple(class_of)
-        self.representative = tuple(representative)
 
     def support_set(self, v: int) -> frozenset[int]:
         return frozenset(bits_of(self.supports[v]))
-
-    def support_label(self, v: int) -> str:
-        names = ",".join(self.row_labels[r] for r in bits_of(self.supports[v]))
-        return "{" + names + "}"
 
 
 def build_containment(matrix: BinaryMatrix) -> ContainmentDigraph:
     """Containment digraph over the distinct column supports of a matrix."""
     red = reduce_columns(matrix)
-    return ContainmentDigraph(
-        supports=red.reduced.col_masks,
-        n_rows=matrix.m,
-        row_labels=matrix.row_labels,
-        class_of=red.class_of,
-        representative=red.representative,
-    )
+    return ContainmentDigraph(red.reduced.col_masks, matrix.m, red.class_of)

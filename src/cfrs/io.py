@@ -8,6 +8,8 @@ the same format, a blank line, then m lines "i: j1 j2 ..." giving the
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .containment import ContainmentDigraph, Dag
 from .errors import MatrixError
 from .matrix import BinaryMatrix, PhyloTree, RowSplit, bits_of
@@ -94,6 +96,13 @@ def parse_split(text: str) -> RowSplit:
     return RowSplit(matrix, tuple(groups[i] for i in range(1, count + 1)))
 
 
+def _row_sets(masks: tuple[int, ...], m: int) -> Iterator[str]:
+    """Labels like "{r1,r3}" naming the rows in each mask by position, made
+    one at a time."""
+    names = [f"r{i + 1}" for i in range(m)]
+    return ("{" + ",".join(names[r] for r in bits_of(mask)) + "}" for mask in masks)
+
+
 def digraph_to_dot(digraph: Dag) -> str:
     """DOT rendering with one node per vertex and one edge per arc.
 
@@ -101,12 +110,11 @@ def digraph_to_dot(digraph: Dag) -> str:
     digraphs their vertex numbers.
     """
     if isinstance(digraph, ContainmentDigraph):
-        labels = [digraph.support_label(v) for v in range(digraph.n)]
+        labels = _row_sets(digraph.supports, digraph.n_rows)
     else:
-        labels = [str(v) for v in range(digraph.n)]
+        labels = map(str, range(digraph.n))
     lines = ["digraph containment {"]
-    for v in range(digraph.n):
-        lines.append(f'  v{v} [label="{labels[v]}"];')
+    lines.extend(f'  v{v} [label="{label}"];' for v, label in enumerate(labels))
     for u, mask in enumerate(digraph.out_masks):
         lines.extend(f"  v{u} -> v{v};" for v in bits_of(mask))
     lines.append("}")
@@ -116,14 +124,13 @@ def digraph_to_dot(digraph: Dag) -> str:
 def phylo_to_dot(tree: PhyloTree) -> str:
     """DOT rendering of a phylogeny: support nodes plus boxed row leaves."""
     lines = ["digraph phylogeny {"]
-    for v, mask in enumerate(tree.node_masks):
-        label = "{" + ",".join(tree.row_labels[r] for r in bits_of(mask)) + "}"
+    for v, label in enumerate(_row_sets(tree.node_masks, len(tree.row_node))):
         lines.append(f'  n{v} [label="{label}"];')
     for v, parent in enumerate(tree.parent):
         if parent is not None:
             lines.append(f"  n{parent} -> n{v};")
     for i, node in enumerate(tree.row_node):
-        lines.append(f'  r{i} [label="{tree.row_labels[i]}" shape=box];')
+        lines.append(f'  r{i} [label="r{i + 1}" shape=box];')
         lines.append(f"  n{node} -> r{i};")
     lines.append("}")
     return "\n".join(lines) + "\n"

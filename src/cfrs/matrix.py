@@ -1,12 +1,11 @@
 """Binary matrices: conflicts, column reduction, row splits, phylogeny extraction.
 
 A valid matrix has at least one row and one column and no all-zero row or
-column.  Rows and columns are identified by 0-based position; the carried
-labels (1-based by default) are used only for files, DOT output and messages.
-A matrix is stored as one int bitset per row (bit j for column j); column
-supports are bitsets over row indices, so inclusion tests, row ORs and
-validation each cost one mask operation.  Dense 0/1 row tuples are built
-only on request.
+column.  Rows and columns are identified by 0-based position only; DOT output
+and messages name row i "r{i+1}" and column j "c{j+1}".  A matrix is stored
+as one int bitset per row (bit j for column j); column supports are bitsets
+over row indices, so inclusion tests, row ORs and validation each cost one
+mask operation.  Dense 0/1 row tuples are built only on request.
 """
 
 from __future__ import annotations
@@ -51,10 +50,6 @@ def transpose(masks: Sequence[int], size: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
-    return tuple(f"{prefix}{i + 1}" for i in range(count))
-
-
 @dataclass(frozen=True, init=False)
 class BinaryMatrix:
     """Immutable 0/1 matrix with no all-zero row or column.
@@ -63,16 +58,13 @@ class BinaryMatrix:
     1; :meth:`from_row_masks` and :meth:`from_col_masks` take bitsets.  The
     matrix keeps ``row_masks``; ``rows`` (0/1 tuples) and ``col_masks`` are
     derived on first use, unless ``from_col_masks`` supplied the latter.
-    Equality and hashing are by shape, entries and labels.
+    Equality and hashing are by shape and entries.
     """
 
     n: int
     row_masks: tuple[int, ...]
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
 
-    def __init__(self, rows: Iterable[Iterable], row_labels: Sequence[str] = (),
-                 col_labels: Sequence[str] = ()):
+    def __init__(self, rows: Iterable[Iterable]):
         cells = tuple(tuple(map(int, row)) for row in rows)
         if not cells or not cells[0]:
             raise MatrixError("matrix needs at least one row and one column")
@@ -87,11 +79,10 @@ class BinaryMatrix:
             if not mask:
                 raise MatrixError(f"row {i + 1} is all zeros")
             masks.append(mask)
-        self._set(n, tuple(masks), row_labels, col_labels)
+        self._set(n, tuple(masks))
 
-    def _set(self, n: int, masks: tuple[int, ...], row_labels: Sequence[str],
-             col_labels: Sequence[str]) -> None:
-        """Validate row bitsets and labels, then fill the fields."""
+    def _set(self, n: int, masks: tuple[int, ...]) -> None:
+        """Validate row bitsets, then fill the fields."""
         if n < 1 or not masks:
             raise MatrixError("matrix needs at least one row and one column")
         union = 0
@@ -108,29 +99,19 @@ class BinaryMatrix:
         if missing:
             j = (missing & -missing).bit_length() - 1
             raise MatrixError(f"column {j + 1} is all zeros")
-        row_labels = tuple(row_labels) or _default_labels("r", len(masks))
-        col_labels = tuple(col_labels) or _default_labels("c", n)
-        if len(row_labels) != len(masks) or len(col_labels) != n:
-            raise MatrixError("label count does not match matrix shape")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "row_masks", masks)
-        object.__setattr__(self, "row_labels", row_labels)
-        object.__setattr__(self, "col_labels", col_labels)
 
     @classmethod
-    def from_row_masks(cls, n: int, masks: Iterable[int],
-                       row_labels: Sequence[str] = (),
-                       col_labels: Sequence[str] = ()) -> "BinaryMatrix":
+    def from_row_masks(cls, n: int, masks: Iterable[int]) -> "BinaryMatrix":
         """Build an n-column matrix whose i-th row has bit j set for a 1 in
         column j.  A mask with a bit at or above n is rejected."""
         matrix = cls.__new__(cls)
-        matrix._set(n, tuple(masks), row_labels, col_labels)
+        matrix._set(n, tuple(masks))
         return matrix
 
     @classmethod
-    def from_col_masks(cls, m: int, masks: Sequence[int],
-                       row_labels: Sequence[str] = (),
-                       col_labels: Sequence[str] = ()) -> "BinaryMatrix":
+    def from_col_masks(cls, m: int, masks: Sequence[int]) -> "BinaryMatrix":
         """Build an m-row matrix whose j-th column support is ``masks[j]``.
 
         Bits at or above m are ignored.
@@ -139,8 +120,7 @@ class BinaryMatrix:
             raise MatrixError("matrix needs at least one row and one column")
         full = (1 << m) - 1
         cols = tuple(mask & full for mask in masks)
-        matrix = cls.from_row_masks(len(cols), transpose(cols, m),
-                                    row_labels, col_labels)
+        matrix = cls.from_row_masks(len(cols), transpose(cols, m))
         matrix.__dict__["col_masks"] = cols
         return matrix
 
@@ -175,10 +155,9 @@ class ConflictWitness:
     col_j: int
     rows: tuple[int, int, int]
 
-    def describe(self, matrix: BinaryMatrix) -> str:
-        ci, cj = matrix.col_labels[self.col_i], matrix.col_labels[self.col_j]
-        rs = ",".join(matrix.row_labels[r] for r in self.rows)
-        return f"columns {ci},{cj} on rows {rs}"
+    def describe(self) -> str:
+        rs = ",".join(f"r{r + 1}" for r in self.rows)
+        return f"columns c{self.col_i + 1},c{self.col_j + 1} on rows {rs}"
 
 
 @dataclass(frozen=True)
@@ -258,11 +237,7 @@ def reduce_columns(matrix: BinaryMatrix) -> ColumnReduction:
             representative.append(j)
         class_of.append(seen[mask])
     reduced = matrix if len(representative) == matrix.n else BinaryMatrix.from_col_masks(
-        matrix.m,
-        tuple(matrix.col_masks[j] for j in representative),
-        matrix.row_labels,
-        tuple(matrix.col_labels[j] for j in representative),
-    )
+        matrix.m, tuple(matrix.col_masks[j] for j in representative))
     return ColumnReduction(reduced, tuple(class_of), tuple(representative))
 
 
@@ -294,14 +269,12 @@ def identity_split(matrix: BinaryMatrix) -> RowSplit:
     return RowSplit(matrix, tuple((i,) for i in range(matrix.m)))
 
 
-def verify_row_split(source: BinaryMatrix, candidate: RowSplit,
-                     require_conflict_free: bool = True) -> Verdict:
-    """Check that ``candidate`` is a (conflict-free) row split of ``source``.
+def verify_row_split(source: BinaryMatrix, candidate: RowSplit) -> Verdict:
+    """Check that ``candidate`` is a conflict-free row split of ``source``.
 
     Accepts iff the groups partition the split rows, every group ORs to its
-    source row, and, when ``require_conflict_free`` is set, the split matrix
-    has no conflicting column pair.  Rejections name the first failing row or
-    carry the conflict witness.
+    source row, and the split matrix has no conflicting column pair.
+    Rejections name the first failing row or carry the conflict witness.
     """
     split = candidate.matrix
     if split.n != source.n:
@@ -314,7 +287,7 @@ def verify_row_split(source: BinaryMatrix, candidate: RowSplit,
     for i, group in enumerate(candidate.groups):
         for idx in group:
             if not 0 <= idx < split.m:
-                return Verdict(False, f"group for row {source.row_labels[i]} "
+                return Verdict(False, f"group for row r{i + 1} "
                                       f"names split row {idx + 1}, out of range")
             if idx in seen:
                 return Verdict(False, f"split row {idx + 1} appears in two groups")
@@ -327,13 +300,11 @@ def verify_row_split(source: BinaryMatrix, candidate: RowSplit,
         for idx in group:
             combined |= split.row_masks[idx]
         if combined != source.row_masks[i]:
-            return Verdict(False, f"group for row {source.row_labels[i]} "
-                                  f"does not OR to it")
-    if require_conflict_free:
-        witness = find_conflict(split)
-        if witness is not None:
-            return Verdict(False, f"split is not conflict-free: "
-                                  f"{witness.describe(split)}", witness)
+            return Verdict(False, f"group for row r{i + 1} does not OR to it")
+    witness = find_conflict(split)
+    if witness is not None:
+        return Verdict(False, f"split is not conflict-free: {witness.describe()}",
+                       witness)
     return ACCEPT
 
 
@@ -349,14 +320,10 @@ class PhyloTree:
     node_masks: tuple[int, ...]
     parent: tuple[Optional[int], ...]
     row_node: tuple[int, ...]
-    row_labels: tuple[str, ...]
 
     @property
     def k(self) -> int:
         return len(self.node_masks) - 1
-
-    def children(self, node: int) -> tuple[int, ...]:
-        return tuple(v for v, p in enumerate(self.parent) if p == node)
 
     def support_set(self, node: int) -> frozenset[int]:
         return frozenset(bits_of(self.node_masks[node]))
@@ -402,5 +369,5 @@ def build_phylogeny(matrix: BinaryMatrix) -> PhyloTree:
         if witness is None:
             raise InternalError("phylogeny sweep rejected a conflict-free matrix")
         raise ConflictError(witness, f"cannot build a phylogeny: conflict between "
-                                     f"{witness.describe(matrix)}")
-    return PhyloTree(*tree, matrix.row_labels)
+                                     f"{witness.describe()}")
+    return PhyloTree(*tree)

@@ -183,21 +183,27 @@ def min_price_chain_partition(
     return partition, tuple(tower)
 
 
-def brute_force_min_price(dag: Dag, weights: Sequence[int],
-                          cap: int = BRUTE_FORCE_CAP) -> int:
+def _comparable(dag: Dag) -> list[int]:
+    """Per vertex, the bitset of the vertices comparable to it, for the
+    brute-force oracles; refuses DAGs above :data:`BRUTE_FORCE_CAP`."""
+    if dag.n > BRUTE_FORCE_CAP:
+        raise BudgetError(f"{dag.n} vertices exceed the brute-force cap of "
+                          f"{BRUTE_FORCE_CAP}")
+    reach = dag.reach
+    return [
+        reach[v] | mask_of(u for u in range(dag.n) if (reach[u] >> v) & 1)
+        for v in range(dag.n)
+    ]
+
+
+def brute_force_min_price(dag: Dag, weights: Sequence[int]) -> int:
     """Exact minimum price over all chain partitions, by exhaustion.
 
     Test oracle: no monotonicity required.  Enumerates set partitions whose
     blocks are pairwise comparable (every such block is a chain).
     """
     w = _validated_weights(dag, weights)
-    if dag.n > cap:
-        raise BudgetError(f"{dag.n} vertices exceed the brute-force cap of {cap}")
-    reach = dag.reach
-    comparable = [
-        reach[v] | mask_of(u for u in range(dag.n) if (reach[u] >> v) & 1)
-        for v in range(dag.n)
-    ]
+    comparable = _comparable(dag)
     best = sum(w)  # all-singleton partition
     block_masks: list[int] = []
     block_price: list[int] = []
@@ -229,21 +235,14 @@ def brute_force_min_price(dag: Dag, weights: Sequence[int],
     return best
 
 
-def brute_force_max_tower(dag: Dag, weights: Sequence[int],
-                          cap: int = BRUTE_FORCE_CAP) -> int:
+def brute_force_max_tower(dag: Dag, weights: Sequence[int]) -> int:
     """Exact maximum tower value, by enumerating every antichain.
 
     Level choices are independent, so the answer is the sum over sizes
     1..width of the best value among antichains of that exact size.
     """
     w = _validated_weights(dag, weights)
-    if dag.n > cap:
-        raise BudgetError(f"{dag.n} vertices exceed the brute-force cap of {cap}")
-    reach = dag.reach
-    comparable = [
-        reach[v] | mask_of(u for u in range(dag.n) if (reach[u] >> v) & 1)
-        for v in range(dag.n)
-    ]
+    comparable = _comparable(dag)
     best_by_size: dict[int, int] = {}
     for subset in range(1, 1 << dag.n):
         if any(subset & comparable[v] for v in bits_of(subset)):

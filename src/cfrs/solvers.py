@@ -81,7 +81,7 @@ def _report(method: str, matrix: BinaryMatrix, digraph: ContainmentDigraph,
             split: RowSplit, started: float, beta_lower_bound: Optional[int] = None,
             tower_value: Optional[int] = None, dag_width: Optional[int] = None
             ) -> SolveReport:
-    verdict = verify_row_split(matrix, split, require_conflict_free=True)
+    verdict = verify_row_split(matrix, split)
     if not verdict.ok:
         raise InternalError(f"solver produced an invalid split: {verdict.reason}")
     return SolveReport(

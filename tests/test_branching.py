@@ -93,10 +93,10 @@ def test_uncovered_block_tree_optimal_branching():
 
 def test_branching_split_nested_examples():
     b = Branching.from_arcs(2, [(0, 1)])
-    split = branching_split(NESTED_PAIR, b)
+    split = branching_split(NESTED_PAIR, b, build_containment(NESTED_PAIR))
     assert split.matrix.rows == NESTED_PAIR.rows
     assert split.groups == ((0,), (1,))
-    empty = branching_split(NESTED_PAIR, Branching.empty(2))
+    empty = branching_split(NESTED_PAIR, Branching.empty(2), build_containment(NESTED_PAIR))
     assert empty.matrix.rows == ((1, 0), (0, 1), (0, 1))
     assert empty.groups == ((0, 1), (2,))
 
@@ -232,6 +232,20 @@ def test_exact_on_laminar_30x40_beyond_the_default_budget():
         assert exact_min_uncovered(d, budget=states)[1] == 30
         distinct = exact_min_irreducible(d, budget=states)[1]
         assert sources <= distinct <= count_distinct_rows(matrix)
+
+
+def test_exact_search_runs_deeper_than_the_recursion_limit():
+    # bt(2,10) has more choosers than Python's default recursion limit;
+    # both optima keep one row per leaf block
+    matrix = gen_block_tree(2, 10)
+    d = build_containment(matrix)
+    assert d.n > sys.getrecursionlimit()
+    states = branching_state_count(d)
+    for solve, kept in ((exact_min_uncovered, uncovered_pairs),
+                        (exact_min_irreducible, irreducible_vertices)):
+        branching, value = solve(d, budget=states)
+        assert value == len(kept(d, branching)) == 512
+        assert verify_row_split(matrix, branching_split(matrix, branching, d)).ok
 
 
 def test_exact_budget_error():

@@ -4,7 +4,7 @@ import pytest
 
 from cfrs.cli import main
 from cfrs.io import format_matrix, format_split
-from cfrs import identity_split
+from cfrs import branching_state_count, build_containment, gen_block_tree, identity_split
 
 from tests.helpers import CROSSING_PAIR, k4
 
@@ -85,6 +85,14 @@ def test_budget_exit_code(block_tree_file, capsys, monkeypatch):
     assert "error" in capsys.readouterr().err
     monkeypatch.setenv("CFRS_BUDGET", "5")
     assert main(["solve", str(block_tree_file), "--method", "exact-rows"]) == 2
+
+
+def test_exact_solve_deeper_than_the_recursion_limit(tmp_path, capsys):
+    matrix = gen_block_tree(2, 10)
+    count = branching_state_count(build_containment(matrix))
+    path = write(tmp_path / "bt.txt", format_matrix(matrix))
+    assert main(["solve", path, "--method", "exact-rows", "--budget", str(count)]) == 0
+    assert "rows: 512" in capsys.readouterr().out
 
 
 def test_unknown_flags_exit_one(capsys):

@@ -102,11 +102,9 @@ def test_count_distinct_rows():
 def test_verify_identity_split():
     verdict = verify_row_split(NESTED_PAIR, identity_split(NESTED_PAIR))
     assert verdict.ok
-    # conflicted matrix: identity split accepted only without the flag
+    # conflicted matrix: the identity split is rejected with the witness
     bad = verify_row_split(CROSSING_PAIR, identity_split(CROSSING_PAIR))
     assert not bad.ok and bad.witness is not None
-    assert verify_row_split(CROSSING_PAIR, identity_split(CROSSING_PAIR),
-                            require_conflict_free=False).ok
 
 
 def test_verify_rejects_wrong_or():
@@ -222,10 +220,23 @@ def test_every_construction_agrees(matrix):
             assert (matrix.row_masks[i] >> j) & 1 == bit == (matrix.col_masks[j] >> i) & 1
 
 
-def test_equality_and_hash_cover_labels():
-    assert NESTED_PAIR != BinaryMatrix(NESTED_PAIR.rows, ("a", "b"))
-    assert NESTED_PAIR == BinaryMatrix(NESTED_PAIR.rows, ("r1", "r2"), ("c1", "c2"))
+def test_equality_and_hash_are_by_shape_and_entries():
+    assert NESTED_PAIR != IDENTITY_2
+    assert BinaryMatrix(((1, 1),)) != BinaryMatrix(((1,), (1,)))
     assert len({NESTED_PAIR, BinaryMatrix(((1, 1), (0, 1)))}) == 1
+    # the reduced matrix is just the distinct supports, nothing else kept
+    matrix = BinaryMatrix(((1, 1, 0), (1, 1, 1)))
+    supports = tuple(dict.fromkeys(matrix.col_masks))
+    assert reduce_columns(matrix).reduced == BinaryMatrix.from_col_masks(matrix.m, supports)
+
+
+def test_messages_name_rows_and_columns_by_position():
+    witness = find_conflict(CROSSING_PAIR)
+    assert witness.describe() == "columns c1,c2 on rows r1,r2,r3"
+    verdict = verify_row_split(CROSSING_PAIR, identity_split(CROSSING_PAIR))
+    assert verdict.reason == "split is not conflict-free: columns c1,c2 on rows r1,r2,r3"
+    split = RowSplit(BinaryMatrix(((1, 0), (1, 0), (0, 1))), ((0,), (1,), (2,)))
+    assert verify_row_split(CROSSING_PAIR, split).reason == "group for row r1 does not OR to it"
 
 
 def test_constructor_accepts_entries_int_maps_to_binary():
@@ -239,15 +250,12 @@ def test_constructor_accepts_entries_int_maps_to_binary():
     (lambda: BinaryMatrix(((1, 1), (0, 0))), "row 2 is all zeros"),
     (lambda: BinaryMatrix(((0, 0), (1,))), "row 1 is all zeros"),
     (lambda: BinaryMatrix(((1, 0), (1, 0))), "column 2 is all zeros"),
-    (lambda: BinaryMatrix(((1, 0), (1, 1)), ("a",)), "label count does not match"),
-    (lambda: BinaryMatrix(((1, 1),), (), ("a", "b", "c")), "label count does not match"),
     (lambda: BinaryMatrix(()), "at least one row and one column"),
     (lambda: BinaryMatrix(((),)), "at least one row and one column"),
     (lambda: BinaryMatrix.from_row_masks(2, (0b11, 0b101)), "row 2 has 3 entries, expected 2"),
     (lambda: BinaryMatrix.from_row_masks(2, (0b11, -1)), "row 2 contains a non-binary entry"),
     (lambda: BinaryMatrix.from_row_masks(2, (0b01, 0)), "row 2 is all zeros"),
     (lambda: BinaryMatrix.from_row_masks(3, (0b001, 0b100)), "column 2 is all zeros"),
-    (lambda: BinaryMatrix.from_row_masks(2, (0b11,), ("a", "b")), "label count does not match"),
     (lambda: BinaryMatrix.from_row_masks(0, ()), "at least one row and one column"),
     (lambda: BinaryMatrix.from_col_masks(2, (0b11, 0b00)), "column 2 is all zeros"),
     (lambda: BinaryMatrix.from_col_masks(3, (0b011,)), "row 3 is all zeros"),
