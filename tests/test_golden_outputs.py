@@ -4,8 +4,10 @@ Runs ``cfrs.cli.main`` in-process on a small seeded corpus (laminar,
 random, nested-prefix, block trees, the vc/ib reductions of K4) and compares
 the sha256 of every output against ``tests/golden_outputs.json``: each
 solve method's split file, ``--json`` report and stdout, ``analyze``
-stdout, and the ``tree`` and ``digraph`` DOT files.  The elapsed time goes
-to stderr and is not compared.
+stdout, and the ``tree`` and ``digraph`` DOT files.  A second corpus of
+wider matrices, whose row or column counts cross multiples of 64, pins
+``analyze`` stdout and the ``tree`` DOT file, plus one ``height`` solve.  The
+elapsed time goes to stderr and is not compared.
 
 A change that is meant to alter an output regenerates the digests with
 
@@ -59,6 +61,15 @@ def corpus() -> dict[str, BinaryMatrix]:
     }
 
 
+def wide_corpus() -> dict[str, BinaryMatrix]:
+    return {
+        "nested-prefix-65": _nested_prefix(65),
+        "nested-prefix-130": _nested_prefix(130),
+        "random-70x130": gen_random(70, 130, 0.5, 0),
+        "laminar-100x150": gen_random_laminar(100, 150, 0),
+    }
+
+
 def _digest(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
@@ -91,6 +102,17 @@ def compute_digests(workdir: Path) -> dict[str, dict[str, object]]:
         for command in ("tree", "digraph"):
             digests[f"{name} {command}"] = _run(
                 [command, str(source), "--dot", str(dot)], {"dot": dot})
+    for name, matrix in wide_corpus().items():
+        source = workdir / f"{name}.txt"
+        source.write_text(format_matrix(matrix), encoding="utf-8")
+        dot = workdir / "out.dot"
+        digests[f"{name} analyze"] = _run(["analyze", str(source)], {})
+        digests[f"{name} tree"] = _run(["tree", str(source), "--dot", str(dot)],
+                                       {"dot": dot})
+    out, report = workdir / "split.txt", workdir / "report.json"
+    digests["nested-prefix-65 solve height"] = _run(
+        ["solve", str(workdir / "nested-prefix-65.txt"), "--method", "height",
+         "--out", str(out), "--json", str(report)], {"out": out, "json": report})
     return digests
 
 
