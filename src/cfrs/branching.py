@@ -9,6 +9,7 @@ minimize.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
@@ -189,27 +190,49 @@ def iter_branchings(digraph: Dag) -> Iterator[Branching]:
 def _decision_order(digraph: Dag) -> list[int]:
     """Topological order that gets arc heads fully decided early.
 
-    Greedy Kahn: among available vertices prefer the one whose emission
-    brings some head closest to having all its in-neighbors placed.
+    Greedy Kahn: among available vertices take the one whose emission
+    brings some head closest to having all its in-neighbors placed, the
+    smallest such vertex on a tie.  That is the smallest (pending[u] - 1, w)
+    over the arcs (w, u) out of available vertices, or (n + 1, w) for an
+    available sink w.  A heap holds these pairs: each time a head's pending
+    count or its smallest available in-neighbor changes, the head pushes
+    its current pair, and a popped pair is skipped once it is outdated.
     """
     n = digraph.n
-    out = [digraph.out(v) for v in range(n)]
-    head_pending = [mask.bit_count() for mask in digraph.in_masks]
-    available = sorted(v for v in range(n) if head_pending[v] == 0)
+    out_masks, in_masks = digraph.out_masks, digraph.in_masks
+    pending = [mask.bit_count() for mask in in_masks]
+    heap: list[tuple[int, int, int]] = []
+    available = 0
+
+    def offer(u: int) -> None:
+        ins = in_masks[u] & available
+        if ins:
+            heapq.heappush(heap, (pending[u] - 1, (ins & -ins).bit_length() - 1, u))
+
+    def make_available(v: int) -> None:
+        nonlocal available
+        available |= 1 << v
+        if not out_masks[v]:
+            heapq.heappush(heap, (n + 1, v, -1))
+        for u in bits_of(out_masks[v]):
+            offer(u)
+
+    for v in range(n):
+        if not pending[v]:
+            make_available(v)
     order: list[int] = []
-    while available:
-        best_v, best_score = None, None
-        for v in available:
-            score = min((head_pending[u] - 1 for u in out[v]), default=n + 1)
-            if best_score is None or score < best_score:
-                best_v, best_score = v, score
-        order.append(best_v)
-        available.remove(best_v)
-        for u in out[best_v]:
-            head_pending[u] -= 1
-            if head_pending[u] == 0:
-                available.append(u)
-        available.sort()
+    while heap:
+        key, v, u = heapq.heappop(heap)
+        if not available >> v & 1 or (u >= 0 and key != pending[u] - 1):
+            continue
+        order.append(v)
+        available ^= 1 << v
+        for u in bits_of(out_masks[v]):
+            pending[u] -= 1
+            if pending[u]:
+                offer(u)
+            else:
+                make_available(u)
     if len(order) != n:
         raise InternalError(f"decision order placed {len(order)} of {n} vertices")
     return order

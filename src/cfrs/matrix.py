@@ -5,11 +5,15 @@ column.  Rows and columns are identified by 0-based position only; DOT output
 and messages name row i "r{i+1}" and column j "c{j+1}".  A matrix is stored
 as one int bitset per row (bit j for column j); column supports are bitsets
 over row indices, so inclusion tests, row ORs and validation each cost one
-mask operation.  Dense 0/1 row tuples are built only on request.
+mask operation.  :func:`transpose` turns one kind into the other with a
+word-parallel bit-matrix transpose, and the conflict check and the phylogeny
+share one sweep over the distinct supports by increasing size, which writes
+each row's tree node once.  Dense 0/1 row tuples are built only on request.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -38,16 +42,63 @@ def mask_of(indices: Iterable[int]) -> int:
     return mask
 
 
+def _swap_selector(j: int) -> int:
+    """Swap round j of a 64x64 tile stored as 64 words of 64 bits, word a
+    holding row a: the cells (a, b) with bit j clear in a and set in b.
+    Each trades places with cell (a + j, b - j), 63 * j bits higher."""
+    word = (((1 << 64) - 1) // ((1 << j) + 1) << j).to_bytes(8, "little")
+    return int.from_bytes((word * j + bytes(8 * j)) * (32 // j), "little")
+
+
+# rows per pass of the transpose kernel; bounds its transient ints
+_BAND = 4096
+_ROUNDS = tuple((63 * j, _swap_selector(j)) for j in (32, 16, 8, 4, 2, 1))
+
+
 def transpose(masks: Sequence[int], size: int) -> tuple[int, ...]:
-    """Bitsets over the indices of ``masks``, one per bit position < size."""
-    out = [0] * size
-    for i, mask in enumerate(masks):
-        bit = 1 << i
-        while mask:
-            low = mask & -mask
-            out[low.bit_length() - 1] |= bit
-            mask ^= low
-    return tuple(out)
+    """Bitsets over the indices of ``masks``, one per bit position < size.
+
+    Every mask must be non-negative and below ``2**size``.  Up to ``_BAND``
+    rows at a time, each block of 64 columns is packed into one int of
+    64x64 tiles, one per 64-row strip, and six masked swap rounds (Hacker's
+    Delight, 7-3) transpose all its tiles at once; column a of the block is
+    then word a of every tile.  Cost: about cells/64 word operations per
+    round, plus one Python step per row, per column and per block.
+    """
+    if not masks or not size:
+        return (0,) * size
+    w = -(-size // 64)
+    strips = -(-min(len(masks), _BAND) // 64)
+    rounds = _ROUNDS  # with the selectors repeated over a full band's strips
+    for doubling in range((strips - 1).bit_length()):
+        rounds = [(shift, sel | sel << (4096 << doubling)) for shift, sel in rounds]
+    parts = []
+    for start in range(0, len(masks), _BAND):
+        band = masks[start:start + _BAND]
+        strips = -(-len(band) // 64)
+        if w == 1:
+            blocks = [struct.pack(f"<{len(band)}Q", *band)]
+        else:  # block q is word q of every row
+            rows = b"".join([mask.to_bytes(8 * w, "little") for mask in band])
+            words = memoryview(rows + bytes(8 * w * (64 * strips - len(band)))).cast("Q")
+            blocks = [words[q::w] for q in range(w)]
+        cols = []
+        for q, block in enumerate(blocks):
+            x = int.from_bytes(block, "little")
+            for shift, sel in rounds:
+                t = (x ^ (x >> shift)) & sel
+                x ^= t | (t << shift)
+            data = x.to_bytes(512 * strips, "little")
+            count = min(64, size - 64 * q)
+            if len(masks) <= 64:  # one strip: column a is word a
+                cols += struct.unpack_from(f"<{count}Q", data)
+            else:  # the view only strides over the bytes, never reads a value
+                tiles = memoryview(data).cast("Q")
+                cols += [tiles[a::64].tobytes() for a in range(count)]
+        if len(masks) <= 64:
+            return tuple(cols)
+        parts.append(cols)
+    return tuple(int.from_bytes(b"".join(col), "little") for col in zip(*parts))
 
 
 @dataclass(frozen=True, init=False)
@@ -334,17 +385,24 @@ def _laminar_tree(matrix: BinaryMatrix) -> Optional[tuple]:
     row_node)`` of its tree, or None if the supports are not laminar."""
     node_masks = ((1 << matrix.m) - 1,) + tuple(dict.fromkeys(matrix.col_masks))
     parent: list[Optional[int]] = [None] + [0] * (len(node_masks) - 1)
-    covered = [0] * len(node_masks)
+    top = list(range(len(node_masks)))  # union-find towards each tree's top
     row_node = [0] * matrix.m
-    for v in sorted(range(1, len(node_masks)), key=lambda u: -node_masks[u].bit_count()):
+    claimed = 0
+    for v in sorted(range(1, len(node_masks)), key=lambda u: node_masks[u].bit_count()):
         mask = node_masks[v]
-        p = row_node[(mask & -mask).bit_length() - 1]
-        if mask & ~node_masks[p] or (p and mask == node_masks[p]) or mask & covered[p]:
-            return None
-        covered[p] |= mask
-        parent[v] = p
-        for r in bits_of(mask):
+        held = mask & claimed
+        for r in bits_of(mask ^ held):
             row_node[r] = v
+        claimed |= mask
+        while held:
+            u = row_node[(held & -held).bit_length() - 1]
+            while top[u] != u:
+                top[u] = top[top[u]]
+                u = top[u]
+            if node_masks[u] & ~mask:
+                return None
+            parent[u] = top[u] = v
+            held ^= node_masks[u]
     return node_masks, tuple(parent), tuple(row_node)
 
 
@@ -355,13 +413,17 @@ def build_phylogeny(matrix: BinaryMatrix) -> PhyloTree:
     among the supports, or the root.  Raises :class:`ConflictError` (carrying
     the witness) when the matrix has a conflict.
 
-    Supports are visited by decreasing size while ``row_node`` keeps, for
-    each row, the smallest support seen so far that holds it.  In a laminar
-    family every larger support meeting a support contains it, so a
-    support's parent is the current node of any of its rows; then the
-    support takes over its rows.  The family is laminar iff each support
-    sits properly in its parent and siblings are disjoint, which makes each
-    parent the minimal proper superset.  Cost: total support size + a sort.
+    Supports are visited by increasing size.  Each claims the rows that no
+    smaller support holds (``row_node`` is written once per row), then
+    adopts, as its children, the current tops of the trees built so far
+    that hold its other rows, found from those rows through ``row_node``
+    and a union-find with path halving.  In a laminar family every such top
+    lies inside it, and the first support to adopt a node is the node's
+    smallest proper superset; a top sticking out of the support is a
+    crossing pair, so the family is laminar iff no adoption fails.  Cost: a
+    sort of the k supports, one ``row_node`` write per row and one
+    union-find lookup per adoption (at most k), each with mask operations
+    over the m rows.
     """
     tree = _laminar_tree(matrix)
     if tree is None:

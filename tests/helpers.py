@@ -14,7 +14,7 @@ from cfrs import (
     gen_random,
     gen_random_laminar,
 )
-from cfrs.branching import _decision_order
+from cfrs.errors import InternalError
 from cfrs.matrix import ConflictWitness
 
 # rows (1,1),(1,0),(0,1): the two column supports cross, so the matrix has a
@@ -100,9 +100,10 @@ def nested_prefix(m: int, rng: random.Random) -> BinaryMatrix:
     order: one chain of m supports."""
     order = list(range(m))
     rng.shuffle(order)
-    return BinaryMatrix(tuple(
-        tuple(1 if order.index(i) <= j else 0 for j in range(m)) for i in range(m)
-    ))
+    cols = [1 << order[0]]
+    for r in order[1:]:
+        cols.append(cols[-1] | 1 << r)
+    return BinaryMatrix.from_col_masks(m, cols)
 
 
 def with_last_pair_crossing(matrix: BinaryMatrix) -> BinaryMatrix:
@@ -231,6 +232,40 @@ def reference_phylogeny(matrix: BinaryMatrix):
     return tuple(nodes), tuple(parent), tuple(row_node)
 
 
+def reference_laminar_tree(matrix: BinaryMatrix):
+    """``(node_masks, parent, row_node)`` of the phylogeny, or None when
+    the supports are not laminar, by the earlier sweep: supports by
+    decreasing size, each taking over every one of its rows."""
+    node_masks = ((1 << matrix.m) - 1,) + tuple(dict.fromkeys(matrix.col_masks))
+    parent = [None] + [0] * (len(node_masks) - 1)
+    covered = [0] * len(node_masks)
+    row_node = [0] * matrix.m
+    for v in sorted(range(1, len(node_masks)), key=lambda u: -node_masks[u].bit_count()):
+        mask = node_masks[v]
+        p = row_node[(mask & -mask).bit_length() - 1]
+        if mask & ~node_masks[p] or (p and mask == node_masks[p]) or mask & covered[p]:
+            return None
+        covered[p] |= mask
+        parent[v] = p
+        for r in range(matrix.m):
+            if (mask >> r) & 1:
+                row_node[r] = v
+    return node_masks, tuple(parent), tuple(row_node)
+
+
+def reference_transpose(masks, size: int) -> tuple[int, ...]:
+    """Bitsets over the indices of ``masks``, one per bit position < size,
+    set one bit at a time."""
+    out = [0] * size
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            out[low.bit_length() - 1] |= bit
+            mask ^= low
+    return tuple(out)
+
+
 def random_branching(rng: random.Random, digraph: Dag, p_arc: float = 0.6):
     """A branching choosing, for each vertex with out-arcs, no arc or a
     uniformly random one."""
@@ -334,7 +369,35 @@ def differential_corpus() -> list[BinaryMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# The exact search and the matching as they were before their rewrites
+# The exact search, its decision order and the matching as they were
+# before their rewrites
+
+
+def reference_decision_order(digraph: Dag) -> list[int]:
+    """The exact solver's decision order by rescanning every available
+    vertex at each step: greedy Kahn preferring the vertex whose emission
+    brings some head closest to having all its in-neighbors placed."""
+    n = digraph.n
+    out = [digraph.out(v) for v in range(n)]
+    head_pending = [mask.bit_count() for mask in digraph.in_masks]
+    available = sorted(v for v in range(n) if head_pending[v] == 0)
+    order: list[int] = []
+    while available:
+        best_v, best_score = None, None
+        for v in available:
+            score = min((head_pending[u] - 1 for u in out[v]), default=n + 1)
+            if best_score is None or score < best_score:
+                best_v, best_score = v, score
+        order.append(best_v)
+        available.remove(best_v)
+        for u in out[best_v]:
+            head_pending[u] -= 1
+            if head_pending[u] == 0:
+                available.append(u)
+        available.sort()
+    if len(order) != n:
+        raise InternalError(f"decision order placed {len(order)} of {n} vertices")
+    return order
 
 
 def reference_exact_minimize(digraph, cost):
@@ -345,7 +408,7 @@ def reference_exact_minimize(digraph, cost):
     k = digraph.n
     supports = digraph.supports
     out_nbrs = [digraph.out(v) for v in range(k)]
-    choosers = [v for v in _decision_order(digraph) if out_nbrs[v]]
+    choosers = [v for v in reference_decision_order(digraph) if out_nbrs[v]]
 
     def total(choice):
         cover = [0] * k

@@ -32,19 +32,23 @@ from cfrs import (
     verify_row_split,
 )
 from cfrs import identity_split
+from cfrs.branching import _decision_order
 from cfrs.matrix import MatrixError
 from cfrs.poset import partition_price
 
 from tests.helpers import (
     CROSSING_PAIR,
     NESTED_PAIR,
+    differential_corpus,
     duplicate_column,
     k33,
     k4,
+    prism,
     q3,
     random_branching,
     random_corpus,
     reference_branching_split,
+    reference_decision_order,
     reference_distinct_2_split,
     reference_exact_minimize,
 )
@@ -362,3 +366,14 @@ def test_exact_incumbent_check_survives_python_optimize():
     assert "debug: False" in result.stdout
     assert "raised: exact search charged 3 for a branching costing 4" in result.stdout
     assert result.returncode == 0, result.stderr
+
+
+def test_decision_order_matches_rescanning_reference():
+    matrices = differential_corpus()
+    matrices += [gen_block_tree(2, h) for h in range(2, 9)]
+    matrices += [gen_block_tree(3, h) for h in range(2, 6)]
+    matrices += [gen(graph) for graph in (k4(), k33(), q3(), prism(5, 1), prism(5, 2))
+                 for gen in (gen_vc_reduction, gen_ib_reduction)]
+    for matrix in matrices:
+        digraph = build_containment(matrix)
+        assert _decision_order(digraph) == reference_decision_order(digraph)

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrs import (
     BinaryMatrix,
@@ -19,7 +22,7 @@ from cfrs import (
     verify_row_split,
 )
 from cfrs.io import format_matrix, parse_matrix
-from cfrs.matrix import RowSplit
+from cfrs.matrix import _BAND, RowSplit, _laminar_tree, bits_of, transpose
 
 from tests.helpers import (
     CROSSING_PAIR,
@@ -27,10 +30,13 @@ from tests.helpers import (
     NESTED_PAIR,
     differential_corpus,
     duplicate_column,
+    nested_prefix,
     oracle_has_conflict,
     random_corpus,
     reference_first_conflict,
+    reference_laminar_tree,
     reference_phylogeny,
+    reference_transpose,
     with_last_pair_crossing,
 )
 from tests.strategies import binary_matrices
@@ -326,3 +332,91 @@ def test_equal_size_supports_sweep():
     overlapping = BinaryMatrix(((1, 0), (1, 1), (0, 1)))
     assert find_conflict(overlapping) == reference_first_conflict(overlapping)
     assert find_conflict(overlapping).rows == (1, 0, 2)
+
+
+def _random_masks(rng, count, size, density):
+    return [sum(1 << j for j in range(size) if rng.random() < density)
+            for _ in range(count)]
+
+
+EDGES = (1, 63, 64, 65, 127, 128, 129)
+
+
+def test_transpose_matches_per_bit_reference_across_word_edges():
+    rng = random.Random(64)
+    for count in EDGES:
+        for size in EDGES:
+            for density in (0.01, 0.1, 0.5, 0.9):
+                masks = _random_masks(rng, count, size, density)
+                assert transpose(masks, size) == reference_transpose(masks, size)
+
+
+def test_transpose_of_no_masks_is_all_zero():
+    for size in (0, 1, 64, 65):
+        assert transpose((), size) == (0,) * size
+        assert transpose([], size) == (0,) * size
+
+
+def test_transpose_across_band_edges():
+    rng = random.Random(4096)
+    for count in (_BAND - 1, _BAND, _BAND + 1, 2 * _BAND + 1):
+        for size in (1, 70):
+            masks = _random_masks(rng, count, size, 0.3)
+            assert transpose(masks, size) == reference_transpose(masks, size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 200).flatmap(lambda size: st.tuples(
+    st.just(size), st.lists(st.integers(0, (1 << size) - 1), max_size=150))))
+def test_transpose_property(case):
+    size, masks = case
+    cols = transpose(masks, size)
+    assert cols == reference_transpose(masks, size)
+    assert transpose(cols, len(masks)) == tuple(masks)
+
+
+def test_from_col_masks_round_trips_on_corpus():
+    for matrix in differential_corpus():
+        assert BinaryMatrix.from_col_masks(matrix.m, matrix.col_masks) == matrix
+
+
+def _sweep_corpus():
+    laminar = [nested_prefix(m, random.Random(m)) for m in (1, 2, 63, 64, 65, 130, 200)]
+    laminar += [gen_block_tree(2, h) for h in range(2, 9)]
+    laminar += [gen_block_tree(3, h) for h in range(2, 6)]
+    laminar += [gen_random_laminar(m, k, seed) for seed in range(3)
+                for m, k in ((40, 79), (100, 150), (150, 299), (200, 300))]
+    crossed = [with_last_pair_crossing(matrix) for matrix in laminar[::2]]
+    # equal-size supports that cross, alone and under a common superset
+    crossed += [BinaryMatrix(((1, 0), (1, 1), (0, 1))),
+                BinaryMatrix(((1, 0, 1), (1, 1, 1), (0, 1, 1), (0, 0, 1))),
+                BinaryMatrix(((1, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 1)))]
+    return laminar, crossed
+
+
+def test_laminar_sweep_matches_decreasing_size_reference():
+    laminar, crossed = _sweep_corpus()
+    for matrix in differential_corpus() + laminar + crossed:
+        assert _laminar_tree(matrix) == reference_laminar_tree(matrix)
+    assert all(_laminar_tree(matrix) is not None for matrix in laminar)
+    assert all(_laminar_tree(matrix) is None for matrix in crossed)
+
+
+def test_laminar_sweep_writes_each_row_node_once(monkeypatch):
+    # the sweep assigns row_node[r] for exactly the rows bits_of yields it
+    import cfrs.matrix
+
+    laminar, _ = _sweep_corpus()
+    for matrix in laminar:
+        written = []
+
+        def counting_bits_of(mask):
+            for r in bits_of(mask):
+                written.append(r)
+                yield r
+
+        monkeypatch.setattr(cfrs.matrix, "bits_of", counting_bits_of)
+        tree = _laminar_tree(matrix)
+        monkeypatch.undo()
+        assert tree == reference_laminar_tree(matrix)
+        assert sorted(written) == list(range(matrix.m))
