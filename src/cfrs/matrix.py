@@ -72,7 +72,8 @@ def transpose(masks: Sequence[int], size: int) -> tuple[int, ...]:
     rounds = _ROUNDS  # with the selectors repeated over a full band's strips
     for doubling in range((strips - 1).bit_length()):
         rounds = [(shift, sel | sel << (4096 << doubling)) for shift, sel in rounds]
-    parts = []
+    height = -(-len(masks) // 64)  # words per column
+    cols = memoryview(bytearray(8 * height * size)).cast("Q") if height > 1 else []
     for start in range(0, len(masks), _BAND):
         band = masks[start:start + _BAND]
         strips = -(-len(band) // 64)
@@ -82,7 +83,6 @@ def transpose(masks: Sequence[int], size: int) -> tuple[int, ...]:
             rows = b"".join([mask.to_bytes(8 * w, "little") for mask in band])
             words = memoryview(rows + bytes(8 * w * (64 * strips - len(band)))).cast("Q")
             blocks = [words[q::w] for q in range(w)]
-        cols = []
         for q, block in enumerate(blocks):
             x = int.from_bytes(block, "little")
             for shift, sel in rounds:
@@ -90,15 +90,19 @@ def transpose(masks: Sequence[int], size: int) -> tuple[int, ...]:
                 x ^= t | (t << shift)
             data = x.to_bytes(512 * strips, "little")
             count = min(64, size - 64 * q)
-            if len(masks) <= 64:  # one strip: column a is word a
+            if height == 1:  # one strip: column 64q + a is word a
                 cols += struct.unpack_from(f"<{count}Q", data)
-            else:  # the view only strides over the bytes, never reads a value
-                tiles = memoryview(data).cast("Q")
-                cols += [tiles[a::64].tobytes() for a in range(count)]
-        if len(masks) <= 64:
-            return tuple(cols)
-        parts.append(cols)
-    return tuple(int.from_bytes(b"".join(col), "little") for col in zip(*parts))
+                continue
+            # word a of tile i is word i of column 64q + a; the word views
+            # only stride over the bytes and never read a value
+            tiles = memoryview(data).cast("Q")
+            first = 64 * q * height + start // 64
+            for i in range(strips):
+                cols[first + i:first + i + count * height:height] = tiles[64 * i:64 * i + count]
+    if height == 1:
+        return tuple(cols)
+    return tuple(int.from_bytes(cols[c * height:(c + 1) * height], "little")
+                 for c in range(size))
 
 
 @dataclass(frozen=True, init=False)
