@@ -61,9 +61,10 @@ def transpose(masks: Sequence[int], size: int) -> tuple[int, ...]:
     Every mask must be non-negative and below ``2**size``.  Up to ``_BAND``
     rows at a time, each block of 64 columns is packed into one int of
     64x64 tiles, one per 64-row strip, and six masked swap rounds (Hacker's
-    Delight, 7-3) transpose all its tiles at once; column a of the block is
-    then word a of every tile.  Cost: about cells/64 word operations per
-    round, plus one Python step per row, per column and per block.
+    Delight, 7-3) transpose all its tiles at once.  Word a of every tile
+    then belongs to column a of the block and is copied into one buffer of
+    all the columns' words.  Cost: about cells/64 word operations per round,
+    plus one Python step per row, per column and per block and strip.
     """
     if not masks or not size:
         return (0,) * size
@@ -73,7 +74,7 @@ def transpose(masks: Sequence[int], size: int) -> tuple[int, ...]:
     for doubling in range((strips - 1).bit_length()):
         rounds = [(shift, sel | sel << (4096 << doubling)) for shift, sel in rounds]
     height = -(-len(masks) // 64)  # words per column
-    cols = memoryview(bytearray(8 * height * size)).cast("Q") if height > 1 else []
+    cols = [] if height == 1 else memoryview(bytearray(8 * height * size)).cast("Q")
     for start in range(0, len(masks), _BAND):
         band = masks[start:start + _BAND]
         strips = -(-len(band) // 64)
