@@ -6,7 +6,9 @@ the sha256 of every output against ``tests/golden_outputs.json``: each
 solve method's split file, ``--json`` report and stdout, ``analyze``
 stdout, and the ``tree`` and ``digraph`` DOT files.  A second corpus of
 wider matrices, whose row or column counts cross multiples of 64, pins
-``analyze`` stdout and the ``tree`` DOT file, plus one ``height`` solve.  The
+``analyze`` stdout and the ``tree`` and ``digraph`` DOT files, plus one
+``height`` solve; one of them is sparse (3 % ones), so the row-name labels
+come from both sides of the bit-selection kernel's density cutoff.  The
 elapsed time goes to stderr and is not compared.
 
 A change that is meant to alter an output regenerates the digests with
@@ -67,6 +69,7 @@ def wide_corpus() -> dict[str, BinaryMatrix]:
         "nested-prefix-130": _nested_prefix(130),
         "random-70x130": gen_random(70, 130, 0.5, 0),
         "laminar-100x150": gen_random_laminar(100, 150, 0),
+        "sparse-random-70x130": gen_random(70, 130, 0.03, 0),
     }
 
 
@@ -107,8 +110,9 @@ def compute_digests(workdir: Path) -> dict[str, dict[str, object]]:
         source.write_text(format_matrix(matrix), encoding="utf-8")
         dot = workdir / "out.dot"
         digests[f"{name} analyze"] = _run(["analyze", str(source)], {})
-        digests[f"{name} tree"] = _run(["tree", str(source), "--dot", str(dot)],
-                                       {"dot": dot})
+        for command in ("tree", "digraph"):
+            digests[f"{name} {command}"] = _run(
+                [command, str(source), "--dot", str(dot)], {"dot": dot})
     out, report = workdir / "split.txt", workdir / "report.json"
     digests["nested-prefix-65 solve height"] = _run(
         ["solve", str(workdir / "nested-prefix-65.txt"), "--method", "height",
