@@ -23,6 +23,7 @@ from .matrix import (
     Verdict,
     bits_of,
     reduce_columns,
+    select,
     transpose,
     verify_row_split,
 )
@@ -128,9 +129,7 @@ def branching_split(matrix: BinaryMatrix, branching: Branching,
     # itself; choice targets have strictly larger supports, so fill the
     # memo by decreasing support size
     supports = digraph.supports
-    reach_cols = [0] * digraph.n
-    for j, v in enumerate(digraph.class_of):
-        reach_cols[v] |= 1 << j
+    reach_cols = list(transpose([1 << v for v in digraph.class_of], digraph.n))
     for v in sorted(range(digraph.n), key=lambda u: supports[u].bit_count(), reverse=True):
         nxt = branching.choice[v]
         if nxt is not None:
@@ -139,7 +138,7 @@ def branching_split(matrix: BinaryMatrix, branching: Branching,
     groups = []
     for vertices in by_row:
         start = len(rows)
-        rows.extend(reach_cols[v] for v in bits_of(vertices))
+        rows.extend(select(reach_cols, vertices))
         groups.append(tuple(range(start, len(rows))))
     return RowSplit(BinaryMatrix.from_row_masks(matrix.n, rows), tuple(groups))
 

@@ -8,10 +8,12 @@ acyclic and transitively closed by construction; a plain Dag checks cycles.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 from typing import Iterable
 
-from .matrix import BinaryMatrix, bits_of, reduce_columns, transpose
+from .matching import maximum_bipartite_matching
+from .matrix import BinaryMatrix, bits_of, reduce_columns, select, transpose
 
 
 class Dag:
@@ -43,11 +45,15 @@ class Dag:
     def arcs(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u in range(self.n) for v in self.out(u))
 
+    @cached_property
+    def _vertices(self) -> list[int]:
+        return list(range(self.n))
+
     def out(self, v: int) -> tuple[int, ...]:
-        return tuple(bits_of(self.out_masks[v]))
+        return tuple(select(self._vertices, self.out_masks[v]))
 
     def in_(self, v: int) -> tuple[int, ...]:
-        return tuple(bits_of(self.in_masks[v]))
+        return tuple(select(self._vertices, self.in_masks[v]))
 
     def is_arc(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and 0 <= v < self.n and bool(self.out_masks[u] >> v & 1)
@@ -74,18 +80,13 @@ class Dag:
         """Bitset per vertex of everything reachable by a non-trivial path."""
         masks = [0] * self.n
         for v in reversed(self.topological_order):
-            out = acc = self.out_masks[v]
-            for w in bits_of(out):
-                acc |= masks[w]
-            masks[v] = acc
+            masks[v] = reduce(or_, select(masks, self.out_masks[v]), self.out_masks[v])
         return tuple(masks)
 
 
 def transitive_closure(dag: Dag) -> frozenset[tuple[int, int]]:
     """All pairs (u, v) connected by a non-trivial directed path."""
-    return frozenset(
-        (u, v) for u in range(dag.n) for v in bits_of(dag.reach[u])
-    )
+    return frozenset((u, v) for u in range(dag.n) for v in bits_of(dag.reach[u]))
 
 
 def elementary_arcs(dag: Dag) -> frozenset[tuple[int, int]]:
@@ -118,11 +119,9 @@ def height(dag: Dag) -> int:
 def width(dag: Dag) -> int:
     """Maximum antichain size: vertex count minus a maximum matching on the
     bipartite split of the transitive closure."""
-    from .matching import maximum_bipartite_matching
-
-    adj = [list(bits_of(dag.reach[u])) for u in range(dag.n)]
+    adj = [select(dag._vertices, reach) for reach in dag.reach]
     match_left, _ = maximum_bipartite_matching(adj, dag.n)
-    return dag.n - sum(1 for v in match_left if v is not None)
+    return match_left.count(None)
 
 
 class ContainmentDigraph(Dag):
@@ -141,14 +140,10 @@ class ContainmentDigraph(Dag):
         # support i lies in the supports holding each of its rows; proper
         # inclusion grows the support, so no cycle and no Kahn pass
         holders = transpose(supports, n_rows)
-        out = []
-        for i, mask in enumerate(supports):
-            above = -1
-            for r in bits_of(mask):
-                above &= holders[r]
-            out.append(above ^ (1 << i))
         self.n = k
-        self.out_masks = self.reach = tuple(out)  # transitively closed
+        self.out_masks = self.reach = tuple(  # transitively closed
+            reduce(and_, select(holders, mask), -1) ^ (1 << i)
+            for i, mask in enumerate(supports))
         self.supports = tuple(supports)
         self.n_rows = n_rows
         self.class_of = tuple(class_of)

@@ -12,7 +12,7 @@ from typing import Iterator
 
 from .containment import ContainmentDigraph, Dag
 from .errors import MatrixError
-from .matrix import BinaryMatrix, PhyloTree, RowSplit, bits_of
+from .matrix import BinaryMatrix, PhyloTree, RowSplit, select
 
 
 def format_matrix(matrix: BinaryMatrix) -> str:
@@ -100,7 +100,7 @@ def _row_sets(masks: tuple[int, ...], m: int) -> Iterator[str]:
     """Labels like "{r1,r3}" naming the rows in each mask by position, made
     one at a time."""
     names = [f"r{i + 1}" for i in range(m)]
-    return ("{" + ",".join(names[r] for r in bits_of(mask)) + "}" for mask in masks)
+    return ("{" + ",".join(select(names, mask)) + "}" for mask in masks)
 
 
 def digraph_to_dot(digraph: Dag) -> str:
@@ -115,8 +115,9 @@ def digraph_to_dot(digraph: Dag) -> str:
         labels = map(str, range(digraph.n))
     lines = ["digraph containment {"]
     lines.extend(f'  v{v} [label="{label}"];' for v, label in enumerate(labels))
+    heads = [f"v{v};" for v in range(digraph.n)]
     for u, mask in enumerate(digraph.out_masks):
-        lines.extend(f"  v{u} -> v{v};" for v in bits_of(mask))
+        lines.extend(map(f"  v{u} -> ".__add__, select(heads, mask)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

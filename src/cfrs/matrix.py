@@ -9,6 +9,8 @@ mask operation.  :func:`transpose` turns one kind into the other with a
 word-parallel bit-matrix transpose, and the conflict check and the phylogeny
 share one sweep over the distinct supports by increasing size, which writes
 each row's tree node once.  Dense 0/1 row tuples are built only on request.
+Passes over whole digraphs pick the items a mask names with :func:`select`,
+in C steps; search loops, with small or sparse masks, walk :func:`bits_of`.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConflictError, InternalError, MatrixError
@@ -24,6 +27,9 @@ Bits = tuple[int, ...]
 
 # byte b"0"/b"1" -> 0/1, for turning a binary string into a 0/1 tuple
 _CELLS = bytes.maketrans(b"01", b"\x00\x01")
+# select renders masks with over 8 + bit_length/16 set bits and walks the
+# rest (break-even, CPython 3.11: 6 of 32 bits, 19 of 150, 37 of 450, 75 of 1500)
+_SPARSE = 16
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -32,6 +38,23 @@ def bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def select(items: Sequence, mask: int) -> list:
+    """``items[i]`` for each set bit i of the non-negative ``mask``, in
+    increasing i; each bit must index ``items``.  A dense mask becomes 0/1
+    bytes that ``compress`` walks in C, a sparse one is walked bit by bit."""
+    count = mask.bit_count()
+    if count == 1:  # half the supports of a laminar matrix
+        return [items[mask.bit_length() - 1]]
+    if count * _SPARSE > mask.bit_length() + 8 * _SPARSE:
+        return list(compress(items, format(mask, "b").encode()[::-1].translate(_CELLS)))
+    picked = []
+    while mask:
+        low = mask & -mask
+        picked.append(items[low.bit_length() - 1])
+        mask ^= low
+    return picked
 
 
 def mask_of(indices: Iterable[int]) -> int:

@@ -17,12 +17,14 @@ recursion, one Koenig pass.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Optional, Sequence
 
 from .containment import Dag, width
 from .errors import BudgetError, InternalError
 from .matching import LiveMatching
-from .matrix import bits_of, mask_of, transpose
+from .matrix import bits_of, mask_of, select, transpose
 
 Chain = tuple[int, ...]
 ChainPartition = tuple[Chain, ...]
@@ -165,9 +167,8 @@ def min_price_chain_partition(
         # v is matched and no alternating path from a free left copy meets
         # its partner, so this is also the members' antichain before v joined
         base = live.antichain()
-        ancestors = 0  # with vertices not yet added, which no chain holds
-        for b in bits_of(base):
-            ancestors |= reached_by[b]
+        # ancestors of base, with vertices not yet added, which no chain holds
+        ancestors = reduce(or_, select(reached_by, base), 0)
         for j, c in enumerate(chains):
             i = next((i for i, x in enumerate(c) if not (ancestors >> x) & 1), -1)
             if not (base >> c[i]) & 1:
@@ -189,11 +190,7 @@ def _comparable(dag: Dag) -> list[int]:
     if dag.n > BRUTE_FORCE_CAP:
         raise BudgetError(f"{dag.n} vertices exceed the brute-force cap of "
                           f"{BRUTE_FORCE_CAP}")
-    reach = dag.reach
-    return [
-        reach[v] | mask_of(u for u in range(dag.n) if (reach[u] >> v) & 1)
-        for v in range(dag.n)
-    ]
+    return [out | into for out, into in zip(dag.reach, transpose(dag.reach, dag.n))]
 
 
 def brute_force_min_price(dag: Dag, weights: Sequence[int]) -> int:

@@ -8,6 +8,8 @@ from cfrs import (
     build_containment,
     elementary_arcs,
     gen_block_tree,
+    gen_random,
+    gen_random_laminar,
     height,
     maximum_antichain,
     transitive_closure,
@@ -20,6 +22,7 @@ from tests.helpers import (
     NESTED_PAIR,
     differential_corpus,
     duplicate_column,
+    nested_prefix,
     oracle_longest_chain,
     oracle_max_antichain_size,
     random_corpus,
@@ -158,6 +161,21 @@ def test_containment_masks_match_pairwise_reference():
         assert d.supports == supports
         # proper inclusion is transitive: the arcs are their own closure
         _check_against_reference(d, arcs, arcs)
+
+
+def test_containment_masks_match_pairwise_reference_across_words():
+    # supports and closure masks of more than one 64-bit word, dense and
+    # sparse: the holder AND, the closure lists and Dag.out take both of
+    # select's paths
+    wide = [nested_prefix(130, random.Random(130)),
+            gen_random(70, 130, 0.03, 0), gen_random(70, 130, 0.5, 0),
+            gen_random_laminar(100, 150, 0)]
+    for matrix in wide:
+        d = build_containment(matrix)
+        supports, arcs = reference_containment(matrix)
+        assert d.supports == supports
+        _check_against_reference(d, arcs, arcs)
+        assert width(d) == len(maximum_antichain(d))
 
 
 def test_plain_dag_masks_match_reference_on_random_arc_lists():

@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,15 @@ from cfrs import (
     verify_row_split,
 )
 from cfrs.io import format_matrix, parse_matrix
-from cfrs.matrix import _BAND, RowSplit, _laminar_tree, bits_of, transpose
+from cfrs.matrix import (
+    _BAND,
+    _SPARSE,
+    RowSplit,
+    _laminar_tree,
+    bits_of,
+    select,
+    transpose,
+)
 
 from tests.helpers import (
     CROSSING_PAIR,
@@ -420,3 +430,55 @@ def test_laminar_sweep_writes_each_row_node_once(monkeypatch):
         monkeypatch.undo()
         assert tree == reference_laminar_tree(matrix)
         assert sorted(written) == list(range(matrix.m))
+
+
+def _per_bit(items, mask):
+    return [items[i] for i in bits_of(mask)]
+
+
+def _at_cutoff(length):
+    """Two masks of the given bit length: one with the most set bits that
+    select still walks bit by bit, and one with a bit more."""
+    most = (length + 8 * _SPARSE) // _SPARSE
+    walked = 1 << (length - 1) | (1 << (most - 1)) - 1
+    return walked, walked | 1 << (most - 1)
+
+
+def test_select_matches_per_bit_walk():
+    ints = list(range(4200))
+    names = [f"r{i + 1}" for i in range(4200)]
+    masks = [0, 1, 1 << 63, 1 << 64, 1 << 65, 1 << 4095,
+             int("10" * 65, 2), int("01" * 65, 2), (1 << 130) - 1]
+    for length in (32, 64, 150, 450, 1500, 4096):
+        walked, rendered = _at_cutoff(length)
+        assert walked.bit_length() == rendered.bit_length() == length
+        assert walked.bit_count() * _SPARSE <= length + 8 * _SPARSE
+        assert rendered.bit_count() * _SPARSE > length + 8 * _SPARSE
+        masks += [walked, rendered, walked >> 1, (1 << length) - 1]
+    for mask in masks:
+        assert select(ints, mask) == _per_bit(ints, mask) == list(bits_of(mask))
+        assert select(names, mask) == _per_bit(names, mask)
+
+
+def test_select_picks_holder_masks_for_the_holder_and():
+    rng = random.Random(64)
+    holders = [rng.getrandbits(200) | 1 << 200 for _ in range(300)]
+    for r in (0, 63, 64, 65, 299):
+        assert reduce(and_, select(holders, 1 << r), -1) == holders[r]
+    for density in (0.02, 0.3, 0.9):
+        mask = sum(1 << r for r in range(300) if rng.random() < density)
+        assert select(holders, mask) == _per_bit(holders, mask)
+        expected = -1
+        for r in bits_of(mask):
+            expected &= holders[r]
+        assert reduce(and_, select(holders, mask), -1) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda size: st.tuples(
+    st.just(size), st.floats(0, 1), st.randoms(use_true_random=False))))
+def test_select_property(case):
+    size, density, rng = case
+    mask = sum(1 << i for i in range(size) if rng.random() < density)
+    items = [f"x{i}" for i in range(size)]
+    assert select(items, mask) == _per_bit(items, mask)
