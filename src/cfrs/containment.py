@@ -86,7 +86,9 @@ class Dag:
 
 def transitive_closure(dag: Dag) -> frozenset[tuple[int, int]]:
     """All pairs (u, v) connected by a non-trivial directed path."""
-    return frozenset((u, v) for u in range(dag.n) for v in bits_of(dag.reach[u]))
+    return frozenset(
+        (u, v) for u in range(dag.n) for v in bits_of(dag.reach[u])
+    )
 
 
 def elementary_arcs(dag: Dag) -> frozenset[tuple[int, int]]:

@@ -11,10 +11,12 @@ antichain off the matching.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Optional, Sequence
 
 from .errors import InternalError
-from .matrix import bits_of, mask_of
+from .matrix import bits_of, mask_of, select
 
 
 class LiveMatching:
@@ -66,14 +68,9 @@ class LiveMatching:
         z_left = frontier = self.free_left
         z_right = 0
         while frontier:
-            fresh = 0
-            for u in bits_of(frontier):
-                fresh |= adj[u]
-            fresh &= ~z_right
+            fresh = reduce(or_, select(adj, frontier), 0) & ~z_right
             z_right |= fresh
-            frontier = 0
-            for w in bits_of(fresh):
-                frontier |= 1 << match_right[w]
+            frontier = mask_of(select(match_right, fresh))
             z_left |= frontier
         antichain = z_left & ~z_right
         if antichain.bit_count() != self.free_left.bit_count():
