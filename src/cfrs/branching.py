@@ -14,13 +14,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .containment import ContainmentDigraph, Dag, elementary_arcs
+from .containment import ContainmentDigraph, Dag
 from .errors import BudgetError, InternalError, MatrixError
 from .matrix import (
     ACCEPT,
     BinaryMatrix,
     RowSplit,
     Verdict,
+    _laminar_tree,
     bits_of,
     reduce_columns,
     select,
@@ -147,9 +148,11 @@ def split_to_branching(matrix: BinaryMatrix, split: RowSplit) -> Branching:
     """Extract from a verified conflict-free split a branching whose own
     split is a row subset of it.
 
-    Reduces the columns of both matrices consistently, takes the elementary
-    arcs (no two-arc shortcut) of the split's containment relation, and maps
-    them back to the source digraph.  Guarantees that the branching's
+    Reduces the columns of both matrices consistently and takes the
+    elementary arcs (no two-arc shortcut) of the split's containment
+    relation, mapped back to the source digraph.  The split's supports are
+    laminar, so these are the parent arcs of its phylogeny, read off the
+    sweep of :func:`build_phylogeny`.  Guarantees that the branching's
     uncovered-pair count is at most the split's row count and its
     irreducible-vertex count at most the split's distinct-row count.
     """
@@ -157,18 +160,14 @@ def split_to_branching(matrix: BinaryMatrix, split: RowSplit) -> Branching:
     if not verdict:
         raise MatrixError(f"not a conflict-free row split: {verdict.reason}")
     red = reduce_columns(matrix)
-    k = red.reduced.n
     split_masks = tuple(split.matrix.col_masks[j] for j in red.representative)
-    if len(set(split_masks)) != k:
+    if len(set(split_masks)) != red.reduced.n:
         raise InternalError("two distinct source columns coincide in a verified split")
-    elem = elementary_arcs(ContainmentDigraph(split_masks, split.matrix.m, tuple(range(k))))
-    choice: list[Optional[int]] = [None] * k
-    for i, j in sorted(elem):
-        if choice[i] is not None:
-            raise InternalError(f"vertex {i} has two elementary out-arcs "
-                                f"in a conflict-free split")
-        choice[i] = j
-    return Branching(tuple(choice))
+    tree = _laminar_tree(split_masks, split.matrix.m)
+    if tree is None:
+        raise InternalError("phylogeny sweep rejected a verified split")
+    # sweep node v + 1 is vertex v, and node 0 the all-rows root
+    return Branching(tuple(p - 1 if p else None for p in tree[1][1:]))
 
 
 def branching_state_count(digraph: Dag) -> int:

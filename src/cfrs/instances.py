@@ -7,6 +7,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BudgetError, InternalError, MatrixError
+from .io import _content_lines
 from .matrix import BinaryMatrix, mask_of
 
 MAX_GENERATED_CELLS = 2_000_000
@@ -50,13 +51,10 @@ class CubicGraph:
 def parse_edge_list(text: str) -> CubicGraph:
     """Read a cubic graph from 'u v' lines; '#' starts a comment."""
     pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if len(parts) != 2:
-            raise MatrixError(f"line {lineno}: expected 'u v', got {raw!r}")
+            raise MatrixError(f"line {lineno}: expected 'u v', got {line!r}")
         try:
             pairs.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:

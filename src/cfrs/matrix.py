@@ -284,7 +284,7 @@ def find_conflict(matrix: BinaryMatrix) -> Optional[ConflictWitness]:
     lexicographically smallest witness.  Only a matrix that the phylogeny
     sweep rejects as not laminar gets the scan over column pairs.
     """
-    if _laminar_tree(matrix) is not None:
+    if _laminar_tree(matrix.col_masks, matrix.m) is not None:
         return None
     masks = matrix.col_masks
     for i in range(matrix.n):
@@ -357,6 +357,7 @@ def verify_row_split(source: BinaryMatrix, candidate: RowSplit) -> Verdict:
     Rejections name the first failing row or carry the conflict witness.
     """
     split = candidate.matrix
+    rows = split.m
     if split.n != source.n:
         raise MatrixError(
             f"column count mismatch: split has {split.n}, source has {source.n}"
@@ -366,14 +367,14 @@ def verify_row_split(source: BinaryMatrix, candidate: RowSplit) -> Verdict:
     seen: set[int] = set()
     for i, group in enumerate(candidate.groups):
         for idx in group:
-            if not 0 <= idx < split.m:
+            if not 0 <= idx < rows:
                 return Verdict(False, f"group for row r{i + 1} "
                                       f"names split row {idx + 1}, out of range")
             if idx in seen:
                 return Verdict(False, f"split row {idx + 1} appears in two groups")
             seen.add(idx)
-    if len(seen) != split.m:
-        missing = next(i for i in range(split.m) if i not in seen)
+    if len(seen) != rows:
+        missing = next(i for i in range(rows) if i not in seen)
         return Verdict(False, f"split row {missing + 1} is in no group")
     for i, group in enumerate(candidate.groups):
         combined = 0
@@ -409,13 +410,13 @@ class PhyloTree:
         return frozenset(bits_of(self.node_masks[node]))
 
 
-def _laminar_tree(matrix: BinaryMatrix) -> Optional[tuple]:
-    """The sweep of :func:`build_phylogeny`: ``(node_masks, parent,
-    row_node)`` of its tree, or None if the supports are not laminar."""
-    node_masks = ((1 << matrix.m) - 1,) + tuple(dict.fromkeys(matrix.col_masks))
+def _laminar_tree(supports: Sequence[int], m: int) -> Optional[tuple]:
+    """The sweep of :func:`build_phylogeny` over nonempty supports of m rows:
+    ``(node_masks, parent, row_node)`` of its tree, or None if not laminar."""
+    node_masks = ((1 << m) - 1,) + tuple(dict.fromkeys(supports))
     parent: list[Optional[int]] = [None] + [0] * (len(node_masks) - 1)
     top = list(range(len(node_masks)))  # union-find towards each tree's top
-    row_node = [0] * matrix.m
+    row_node = [0] * m
     claimed = 0
     for v in sorted(range(1, len(node_masks)), key=lambda u: node_masks[u].bit_count()):
         mask = node_masks[v]
@@ -454,7 +455,7 @@ def build_phylogeny(matrix: BinaryMatrix) -> PhyloTree:
     union-find lookup per adoption (at most k), each with mask operations
     over the m rows.
     """
-    tree = _laminar_tree(matrix)
+    tree = _laminar_tree(matrix.col_masks, matrix.m)
     if tree is None:
         witness = find_conflict(matrix)
         if witness is None:

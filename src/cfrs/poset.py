@@ -72,20 +72,12 @@ def is_tower(dag: Dag, tower: Sequence[Antichain]) -> bool:
     )
 
 
-def chain_price(chain: Sequence[int], weights: Sequence[int]) -> int:
-    return max(weights[v] for v in chain)
-
-
 def partition_price(partition: Sequence[Sequence[int]], weights: Sequence[int]) -> int:
-    return sum(chain_price(chain, weights) for chain in partition)
-
-
-def antichain_value(antichain, weights: Sequence[int]) -> int:
-    return min(weights[v] for v in antichain)
+    return sum(max(weights[v] for v in chain) for chain in partition)
 
 
 def tower_value(tower: Sequence[Antichain], weights: Sequence[int]) -> int:
-    return sum(antichain_value(level, weights) for level in tower)
+    return sum(min(weights[v] for v in level) for level in tower)
 
 
 def evaluate(partition, tower, weights) -> tuple[int, int]:

@@ -20,7 +20,7 @@ approximation guarantees are self-documenting:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .branching import (
@@ -39,7 +39,7 @@ from .matrix import (
     count_distinct_rows,
     verify_row_split,
 )
-from .poset import evaluate, min_price_chain_partition
+from .poset import min_price_chain_partition, partition_price
 
 
 @dataclass(frozen=True)
@@ -65,16 +65,8 @@ class SolveReport:
 
     def to_json_dict(self) -> dict:
         # elapsed is excluded so identical runs write identical report files
-        return {
-            "method": self.method,
-            "rows": self.rows,
-            "distinct_rows": self.distinct_rows,
-            "beta_lower_bound": self.beta_lower_bound,
-            "tower_value": self.tower_value,
-            "height": self.height,
-            "width": self.width,
-            "k": self.k,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "elapsed_seconds"}
 
 
 def _report(method: str, matrix: BinaryMatrix, digraph: ContainmentDigraph,
@@ -101,15 +93,15 @@ def _linear_pipeline(matrix: BinaryMatrix, method: str):
     started = time.perf_counter()
     digraph = build_containment(matrix)
     sizes = [s.bit_count() for s in digraph.supports]
-    partition, tower = min_price_chain_partition(digraph, sizes)
+    partition, _ = min_price_chain_partition(digraph, sizes)
     split = branching_split(matrix, linear_from_chains(partition), digraph)
-    price, value = evaluate(partition, tower, sizes)
-    # a minimum-price partition has exactly width(D) chains
-    report = _report(method, matrix, digraph, split, started, tower_value=value,
+    # min_price_chain_partition has checked that the tower's value is this
+    # price, and a minimum-price partition has exactly width(D) chains
+    price = partition_price(partition, sizes)
+    report = _report(method, matrix, digraph, split, started, tower_value=price,
                      dag_width=len(partition))
-    if not report.rows == price == value:
-        raise InternalError(
-            f"linear split has {report.rows} rows, price {price}, tower value {value}")
+    if report.rows != price:
+        raise InternalError(f"linear split has {report.rows} rows, price {price}")
     return split, report
 
 

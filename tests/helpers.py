@@ -8,13 +8,17 @@ import random
 from cfrs import (
     BinaryMatrix,
     Branching,
+    ContainmentDigraph,
     CubicGraph,
     Dag,
+    elementary_arcs,
     gen_block_tree,
     gen_random,
     gen_random_laminar,
+    reduce_columns,
+    verify_row_split,
 )
-from cfrs.errors import InternalError
+from cfrs.errors import InternalError, MatrixError
 from cfrs.matrix import ConflictWitness
 
 # rows (1,1),(1,0),(0,1): the two column supports cross, so the matrix has a
@@ -508,3 +512,25 @@ def reference_maximum_bipartite_matching(adj, n_right):
             if match_left[u] is None:
                 dfs(u)
     return match_left, match_right
+
+
+def reference_split_to_branching(matrix: BinaryMatrix, split) -> Branching:
+    """The branching of a verified conflict-free split, as it was found
+    before the phylogeny sweep: the elementary arcs of the containment
+    digraph of the split's columns on the source's representative columns."""
+    verdict = verify_row_split(matrix, split)
+    if not verdict:
+        raise MatrixError(f"not a conflict-free row split: {verdict.reason}")
+    red = reduce_columns(matrix)
+    k = red.reduced.n
+    split_masks = tuple(split.matrix.col_masks[j] for j in red.representative)
+    if len(set(split_masks)) != k:
+        raise InternalError("two distinct source columns coincide in a verified split")
+    elem = elementary_arcs(ContainmentDigraph(split_masks, split.matrix.m, tuple(range(k))))
+    choice = [None] * k
+    for i, j in sorted(elem):
+        if choice[i] is not None:
+            raise InternalError(f"vertex {i} has two elementary out-arcs "
+                                f"in a conflict-free split")
+        choice[i] = j
+    return Branching(tuple(choice))

@@ -8,8 +8,10 @@ import pytest
 
 import cfrs
 from cfrs import (
+    BinaryMatrix,
     Branching,
     approx_distinct_2,
+    approx_height,
     BudgetError,
     branching_split,
     branching_state_count,
@@ -26,6 +28,7 @@ from cfrs import (
     irreducible_vertices,
     iter_branchings,
     linear_from_chains,
+    solve_linear_heuristic,
     split_to_branching,
     uncovered_pairs,
     validate_branching,
@@ -33,7 +36,7 @@ from cfrs import (
 )
 from cfrs import identity_split
 from cfrs.branching import _decision_order
-from cfrs.matrix import MatrixError
+from cfrs.matrix import MatrixError, RowSplit
 from cfrs.poset import partition_price
 
 from tests.helpers import (
@@ -43,6 +46,7 @@ from tests.helpers import (
     duplicate_column,
     k33,
     k4,
+    nested_prefix,
     prism,
     q3,
     random_branching,
@@ -51,6 +55,7 @@ from tests.helpers import (
     reference_decision_order,
     reference_distinct_2_split,
     reference_exact_minimize,
+    reference_split_to_branching,
 )
 
 D_CROSS = build_containment(CROSSING_PAIR)
@@ -141,6 +146,34 @@ def test_split_row_and_distinct_counts_match_branching_on_corpus():
             assert count_distinct_rows(split.matrix) == len(irreducible_vertices(d, b))
             checked += 1
     assert checked > 300
+
+
+def test_split_to_branching_matches_elementary_arc_reference():
+    checked = 0
+    for matrix in random_corpus(120, seed=13) + differential_corpus():
+        d = build_containment(matrix)
+        splits = [solve(matrix)[0] for solve in
+                  (approx_height, approx_distinct_2, solve_linear_heuristic)]
+        if enumerable(d):
+            splits += [branching_split(matrix, b, d) for b in iter_branchings(d)]
+        for split in splits:
+            assert split_to_branching(matrix, split) == \
+                reference_split_to_branching(matrix, split)
+            checked += 1
+    # source row 11 split into 10/01: the representative column alone has
+    # an all-zero split row; then a support holding every row, and supports
+    # crossing the 64- and 128-bit word boundaries
+    duplicate = BinaryMatrix(((1, 1),))
+    cases = [(duplicate, RowSplit(BinaryMatrix(((1, 0), (0, 1))), ((0, 1),))),
+             (NESTED_PAIR, identity_split(NESTED_PAIR))]
+    wide = nested_prefix(130, random.Random(130))
+    cases.append((wide, approx_height(wide)[0]))
+    for matrix, split in cases:
+        assert split_to_branching(matrix, split) == \
+            reference_split_to_branching(matrix, split)
+    assert split_to_branching(*cases[0]) == Branching((None,))
+    assert split_to_branching(*cases[1]) == Branching((1, None))
+    assert checked > 4000
 
 
 def test_round_trip_never_increases_uncovered_pairs():
@@ -316,8 +349,8 @@ def test_distinct_2_split_matches_per_cell_reference():
 
 
 def test_branching_self_checks_survive_python_optimize(tmp_path):
-    # -O strips assert statements; split_to_branching's check that no
-    # vertex gets two elementary out-arcs must still raise
+    # -O strips assert statements; split_to_branching's check that the
+    # phylogeny sweep accepts a verified split must still raise
     chain = tmp_path / "chain.txt"
     chain.write_text("3 3\n111\n011\n001\n")
     script = "\n".join((
@@ -326,7 +359,7 @@ def test_branching_self_checks_survive_python_optimize(tmp_path):
         "from cfrs import InternalError, identity_split, split_to_branching",
         "from cfrs.io import parse_matrix",
         "print('debug:', __debug__)",
-        "cfrs.branching.elementary_arcs = lambda dag: dag.arcs",
+        "cfrs.branching._laminar_tree = lambda supports, m: None",
         "matrix = parse_matrix(open(sys.argv[1]).read())",
         "try:",
         "    split_to_branching(matrix, identity_split(matrix))",
@@ -339,7 +372,7 @@ def test_branching_self_checks_survive_python_optimize(tmp_path):
     result = subprocess.run([sys.executable, "-O", "-c", script, str(chain)],
                             capture_output=True, text=True, env=env, timeout=120)
     assert "debug: False" in result.stdout
-    assert "raised: vertex 0 has two elementary out-arcs" in result.stdout
+    assert "raised: phylogeny sweep rejected a verified split" in result.stdout
     assert result.returncode == 0, result.stderr
 
 

@@ -301,7 +301,7 @@ def test_phylogeny_self_check_raises_internal_error(monkeypatch):
     # a sweep rejecting a matrix that the pair scan finds conflict-free
     import cfrs.matrix
 
-    monkeypatch.setattr(cfrs.matrix, "_laminar_tree", lambda matrix: None)
+    monkeypatch.setattr(cfrs.matrix, "_laminar_tree", lambda supports, m: None)
     with pytest.raises(InternalError, match="sweep rejected a conflict-free matrix"):
         build_phylogeny(BinaryMatrix(((1, 1), (1, 0), (1, 1))))
 
@@ -407,9 +407,10 @@ def _sweep_corpus():
 def test_laminar_sweep_matches_decreasing_size_reference():
     laminar, crossed = _sweep_corpus()
     for matrix in differential_corpus() + laminar + crossed:
-        assert _laminar_tree(matrix) == reference_laminar_tree(matrix)
-    assert all(_laminar_tree(matrix) is not None for matrix in laminar)
-    assert all(_laminar_tree(matrix) is None for matrix in crossed)
+        assert _laminar_tree(matrix.col_masks, matrix.m) == \
+            reference_laminar_tree(matrix)
+    assert all(_laminar_tree(matrix.col_masks, matrix.m) is not None for matrix in laminar)
+    assert all(_laminar_tree(matrix.col_masks, matrix.m) is None for matrix in crossed)
 
 
 def test_laminar_sweep_writes_each_row_node_once(monkeypatch):
@@ -426,7 +427,7 @@ def test_laminar_sweep_writes_each_row_node_once(monkeypatch):
                 yield r
 
         monkeypatch.setattr(cfrs.matrix, "bits_of", counting_bits_of)
-        tree = _laminar_tree(matrix)
+        tree = _laminar_tree(matrix.col_masks, matrix.m)
         monkeypatch.undo()
         assert tree == reference_laminar_tree(matrix)
         assert sorted(written) == list(range(matrix.m))

@@ -187,7 +187,7 @@ def test_split_has_at_least_source_distinct_columns():
 @pytest.mark.parametrize("target, fake, solve", [
     ("verify_row_split", lambda *args, **kwargs: Verdict(False, "forced"),
      solve_linear_heuristic),
-    ("evaluate", lambda partition, tower, weights: (0, 0), solve_linear_heuristic),
+    ("partition_price", lambda partition, weights: 0, solve_linear_heuristic),
     ("exact_min_uncovered", lambda digraph, budget: (cfrs.Branching.empty(digraph.n), 0),
      lambda m: solve_exact(m, "rows")),
     ("exact_min_irreducible", lambda digraph, budget: (cfrs.Branching.empty(digraph.n), 0),
