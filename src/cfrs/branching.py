@@ -21,6 +21,7 @@ from .matrix import (
     BinaryMatrix,
     RowSplit,
     Verdict,
+    _distinct_supports,
     _laminar_tree,
     bits_of,
     reduce_columns,
@@ -152,7 +153,8 @@ def split_to_branching(matrix: BinaryMatrix, split: RowSplit) -> Branching:
     elementary arcs (no two-arc shortcut) of the split's containment
     relation, mapped back to the source digraph.  The split's supports are
     laminar, so these are the parent arcs of its phylogeny, read off the
-    sweep of :func:`build_phylogeny`.  Guarantees that the branching's
+    sweep of :func:`build_phylogeny` over the split's distinct rows, as in
+    :func:`find_conflict`.  Guarantees that the branching's
     uncovered-pair count is at most the split's row count and its
     irreducible-vertex count at most the split's distinct-row count.
     """
@@ -160,10 +162,11 @@ def split_to_branching(matrix: BinaryMatrix, split: RowSplit) -> Branching:
     if not verdict:
         raise MatrixError(f"not a conflict-free row split: {verdict.reason}")
     red = reduce_columns(matrix)
-    split_masks = tuple(split.matrix.col_masks[j] for j in red.representative)
+    supports, rows = _distinct_supports(split.matrix)
+    split_masks = tuple(supports[j] for j in red.representative)
     if len(set(split_masks)) != red.reduced.n:
         raise InternalError("two distinct source columns coincide in a verified split")
-    tree = _laminar_tree(split_masks, split.matrix.m)
+    tree = _laminar_tree(split_masks, rows)
     if tree is None:
         raise InternalError("phylogeny sweep rejected a verified split")
     # sweep node v + 1 is vertex v, and node 0 the all-rows root

@@ -42,13 +42,21 @@ def _parse_matrix_lines(lines: list[tuple[int, str]]) -> BinaryMatrix:
     m, n = int(parts[0]), int(parts[1])
     if len(lines) - 1 < m:
         raise MatrixError(f"expected {m} matrix rows, found {len(lines) - 1}")
+    # each distinct row text is checked and converted once; a repeat costs
+    # one hash, and the first bad line in file order still raises
+    seen: dict[str, int] = {}
     masks = []
     for lineno, line in lines[1:m + 1]:
-        # int(..., 2) alone would also take '_', '+', spaces and non-ASCII digits
-        if len(line) != n or line.strip("01"):
-            raise MatrixError(f"line {lineno}: expected {n} characters over 01, "
-                              f"got {line!r}")
-        masks.append(int(line[::-1], 2))
+        mask = seen.get(line)
+        if mask is None:
+            # int(..., 2) alone would also take '_', '+', spaces and
+            # non-ASCII digits; counting the 0s and 1s rejects them at
+            # under half the cost per character of line.strip("01")
+            if len(line) != n or line.count("0") + line.count("1") != n:
+                raise MatrixError(f"line {lineno}: expected {n} characters over 01, "
+                                  f"got {line!r}")
+            mask = seen[line] = int(line[::-1], 2)
+        masks.append(mask)
     return BinaryMatrix.from_row_masks(n, masks)
 
 

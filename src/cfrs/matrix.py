@@ -8,7 +8,9 @@ over row indices, so inclusion tests, row ORs and validation each cost one
 mask operation.  :func:`transpose` turns one kind into the other with a
 word-parallel bit-matrix transpose, and the conflict check and the phylogeny
 share one sweep over the distinct supports by increasing size, which writes
-each row's tree node once.  Dense 0/1 row tuples are built only on request.
+each row's tree node once.  The conflict check sweeps the supports over the
+distinct rows only, so a row that repeats costs one hash.  Dense 0/1 row
+tuples are built only on request.
 Passes over whole digraphs pick the items a mask names with :func:`select`,
 in C steps; search loops, with small or sparse masks, walk :func:`bits_of`.
 """
@@ -136,8 +138,9 @@ class BinaryMatrix:
 
     ``BinaryMatrix(rows)`` takes rows of entries that ``int()`` maps to 0 or
     1; :meth:`from_row_masks` and :meth:`from_col_masks` take bitsets.  The
-    matrix keeps ``row_masks``; ``rows`` (0/1 tuples) and ``col_masks`` are
-    derived on first use, unless ``from_col_masks`` supplied the latter.
+    matrix keeps ``row_masks``; ``rows`` (0/1 tuples), ``col_masks`` and
+    ``distinct_row_masks`` are derived on first use, unless
+    ``from_col_masks`` supplied ``col_masks``.
     Equality and hashing are by shape and entries.
     """
 
@@ -222,6 +225,13 @@ class BinaryMatrix:
         """Column supports as bitsets over row indices."""
         return transpose(self.row_masks, self.n)
 
+    @cached_property
+    def distinct_row_masks(self) -> tuple[int, ...]:
+        """The distinct row bitsets in first-appearance order; ``row_masks``
+        itself when no row repeats."""
+        distinct = tuple(dict.fromkeys(self.row_masks))
+        return self.row_masks if len(distinct) == self.m else distinct
+
 
 @dataclass(frozen=True)
 class ConflictWitness:
@@ -277,14 +287,32 @@ class Verdict:
 ACCEPT = Verdict(True)
 
 
+def _distinct_supports(matrix: BinaryMatrix) -> tuple[tuple[int, ...], int]:
+    """Column supports over the distinct rows, and the distinct-row count.
+
+    A repeated row cannot make or break a crossing pair, nor change which
+    support contains which, so these supports have the conflicts and the
+    inclusion tree of ``col_masks``.  With no repeated row they are
+    ``col_masks``; otherwise the distinct rows alone are transposed.
+    """
+    rows = matrix.distinct_row_masks
+    if len(rows) == matrix.m:
+        return matrix.col_masks, matrix.m
+    return transpose(rows, matrix.n), len(rows)
+
+
 def find_conflict(matrix: BinaryMatrix) -> Optional[ConflictWitness]:
     """Return the first conflicting column pair, or None if conflict-free.
 
     Deterministic: the returned (col_i, col_j, r, r2, r3) tuple is the
-    lexicographically smallest witness.  Only a matrix that the phylogeny
-    sweep rejects as not laminar gets the scan over column pairs.
+    lexicographically smallest witness.  The phylogeny sweep runs on the
+    distinct-row supports, so it costs one hash per row plus work on the
+    d distinct rows: a sort of the k distinct supports, one step per
+    distinct row and at most k adoptions, each an operation on d-bit masks.
+    Only a matrix that the sweep rejects as not laminar gets the scan over
+    column pairs, on all rows, which names the witness.
     """
-    if _laminar_tree(matrix.col_masks, matrix.m) is not None:
+    if _laminar_tree(*_distinct_supports(matrix)) is not None:
         return None
     masks = matrix.col_masks
     for i in range(matrix.n):
@@ -322,7 +350,7 @@ def reduce_columns(matrix: BinaryMatrix) -> ColumnReduction:
 
 
 def count_distinct_rows(matrix: BinaryMatrix) -> int:
-    return len(set(matrix.row_masks))
+    return len(matrix.distinct_row_masks)
 
 
 def count_distinct_cols(matrix: BinaryMatrix) -> int:

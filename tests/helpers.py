@@ -19,7 +19,7 @@ from cfrs import (
     verify_row_split,
 )
 from cfrs.errors import InternalError, MatrixError
-from cfrs.matrix import ConflictWitness
+from cfrs.matrix import ConflictWitness, RowSplit
 
 # rows (1,1),(1,0),(0,1): the two column supports cross, so the matrix has a
 # conflict and its digraph is two incomparable vertices
@@ -108,6 +108,28 @@ def nested_prefix(m: int, rng: random.Random) -> BinaryMatrix:
     for r in order[1:]:
         cols.append(cols[-1] | 1 << r)
     return BinaryMatrix.from_col_masks(m, cols)
+
+
+def with_repeated_rows(matrix: BinaryMatrix, rng: random.Random) -> BinaryMatrix:
+    """The rows of ``matrix``, each repeated 1-3 times, in shuffled order."""
+    masks = [mask for mask in matrix.row_masks for _ in range(rng.randint(1, 3))]
+    rng.shuffle(masks)
+    return BinaryMatrix.from_row_masks(matrix.n, masks)
+
+
+def with_repeated_split_rows(split: RowSplit, rng: random.Random) -> RowSplit:
+    """The split with each split row repeated 1-3 times inside its own group
+    and the split rows shuffled: every group still ORs to its source row."""
+    copies = [[r] * rng.randint(1, 3) for r in range(split.matrix.m)]
+    order = [r for group in copies for r in group]
+    rng.shuffle(order)
+    positions: dict[int, list[int]] = {}
+    for pos, r in enumerate(order):
+        positions.setdefault(r, []).append(pos)
+    groups = tuple(tuple(pos for r in group for pos in positions[r])
+                   for group in split.groups)
+    masks = [split.matrix.row_masks[r] for r in order]
+    return RowSplit(BinaryMatrix.from_row_masks(split.matrix.n, masks), groups)
 
 
 def with_last_pair_crossing(matrix: BinaryMatrix) -> BinaryMatrix:

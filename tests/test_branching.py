@@ -55,7 +55,9 @@ from tests.helpers import (
     reference_decision_order,
     reference_distinct_2_split,
     reference_exact_minimize,
+    reference_first_conflict,
     reference_split_to_branching,
+    with_repeated_split_rows,
 )
 
 D_CROSS = build_containment(CROSSING_PAIR)
@@ -174,6 +176,28 @@ def test_split_to_branching_matches_elementary_arc_reference():
     assert split_to_branching(*cases[0]) == Branching((None,))
     assert split_to_branching(*cases[1]) == Branching((1, None))
     assert checked > 4000
+
+
+def test_repeated_split_rows_keep_verdict_and_branching():
+    # split rows repeated inside their groups and shuffled: the verdict, the
+    # named witness and the extracted branching are those of the pair scan
+    # and the elementary-arc reference
+    rng = random.Random(1104)
+    accepted = rejected = 0
+    for matrix in random_corpus(80, seed=17) + differential_corpus():
+        for split in (identity_split(matrix), approx_height(matrix)[0]):
+            repeated = with_repeated_split_rows(split, rng)
+            verdict = verify_row_split(matrix, repeated)
+            assert verdict.ok == verify_row_split(matrix, split).ok
+            if not verdict.ok:
+                assert verdict.witness == reference_first_conflict(repeated.matrix)
+                rejected += 1
+                continue
+            back = split_to_branching(matrix, repeated)
+            assert back == reference_split_to_branching(matrix, repeated)
+            assert back == split_to_branching(matrix, split)
+            accepted += 1
+    assert accepted > 150 and rejected > 50
 
 
 def test_round_trip_never_increases_uncovered_pairs():

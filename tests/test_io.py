@@ -1,6 +1,14 @@
+import random
+
 import pytest
 
-from cfrs import build_containment, build_phylogeny, gen_block_tree, identity_split
+from cfrs import (
+    approx_height,
+    build_containment,
+    build_phylogeny,
+    gen_block_tree,
+    identity_split,
+)
 from cfrs.errors import MatrixError
 from cfrs.io import (
     digraph_to_dot,
@@ -11,7 +19,7 @@ from cfrs.io import (
     phylo_to_dot,
 )
 
-from tests.helpers import CROSSING_PAIR, NESTED_PAIR
+from tests.helpers import CROSSING_PAIR, NESTED_PAIR, nested_prefix, with_repeated_rows
 
 
 def test_matrix_round_trip():
@@ -103,3 +111,32 @@ def test_split_round_trip_keeps_masks():
     back = parse_split(format_split(split))
     assert back.matrix == split.matrix
     assert back.matrix.row_masks == split.matrix.row_masks
+
+
+def test_repeated_bad_row_names_its_first_line():
+    with pytest.raises(MatrixError, match="line 4: expected 2 characters over 01, got '0x'"):
+        parse_matrix("4 2\n11\n01\n0x\n0x\n")
+    with pytest.raises(MatrixError, match="line 3: expected 2 characters over 01, got '1'"):
+        parse_split("3 2\n11\n1\n1\n\n1: 1\n2: 2\n3: 3\n")
+
+
+def test_bad_row_after_many_copies_names_its_own_line():
+    rows = "10\n" * 1000
+    with pytest.raises(MatrixError, match="line 1002: expected 2 characters over 01"):
+        parse_matrix(f"1001 2\n{rows}1_\n")
+    with pytest.raises(MatrixError, match="line 1003: expected 2 characters over 01"):
+        parse_split(f"# split\n1001 2\n{rows}102\n\n1: 1\n")
+
+
+def test_round_trips_keep_repeated_rows():
+    rng = random.Random(11)
+    for matrix in (with_repeated_rows(CROSSING_PAIR, rng),
+                   with_repeated_rows(gen_block_tree(3, 3), rng)):
+        back = parse_matrix(format_matrix(matrix))
+        assert back == matrix
+        assert back.row_masks == matrix.row_masks
+    split = approx_height(nested_prefix(70, rng))[0]
+    assert len(split.matrix.distinct_row_masks) < split.matrix.m
+    back = parse_split(format_split(split))
+    assert back.matrix.row_masks == split.matrix.row_masks
+    assert back.groups == split.groups

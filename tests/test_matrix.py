@@ -48,6 +48,7 @@ from tests.helpers import (
     reference_phylogeny,
     reference_transpose,
     with_last_pair_crossing,
+    with_repeated_rows,
 )
 from tests.strategies import binary_matrices
 
@@ -342,6 +343,54 @@ def test_equal_size_supports_sweep():
     overlapping = BinaryMatrix(((1, 0), (1, 1), (0, 1)))
     assert find_conflict(overlapping) == reference_first_conflict(overlapping)
     assert find_conflict(overlapping).rows == (1, 0, 2)
+
+
+def test_find_conflict_on_repeated_rows_matches_pair_scan():
+    rng = random.Random(1103)
+    corpus = [with_repeated_rows(matrix, rng)
+              for matrix in random_corpus(80, seed=17) + differential_corpus()]
+    assert sum(count_distinct_rows(matrix) < matrix.m for matrix in corpus) > 100
+    assert sum(is_laminar(matrix) for matrix in corpus) >= 30
+    for matrix in corpus:
+        witness = find_conflict(matrix)
+        assert witness == reference_first_conflict(matrix)
+        assert (witness is None) == is_laminar(matrix)
+        verdict = verify_row_split(matrix, identity_split(matrix))
+        assert verdict.ok == (witness is None)
+        assert verdict.witness == witness
+
+
+def test_conflict_of_repeated_rows_names_first_occurrences():
+    # every witness row repeats; 11, 10 and 01 first appear as rows 4, 2, 1
+    matrix = BinaryMatrix(((0, 1), (1, 0), (1, 0), (1, 1), (0, 1), (1, 1)))
+    assert count_distinct_rows(matrix) == 3
+    assert matrix.distinct_row_masks == (0b10, 0b01, 0b11)
+    witness = find_conflict(matrix)
+    assert witness == reference_first_conflict(matrix)
+    assert witness.rows == (3, 1, 0)
+
+
+def test_conflict_sweep_transposes_only_repeated_rows(monkeypatch):
+    # a matrix with distinct rows reuses its column masks; one with repeated
+    # rows transposes its distinct rows alone
+    import cfrs.matrix
+
+    distinct = nested_prefix(70, random.Random(70))
+    repeated = BinaryMatrix.from_row_masks(distinct.n, distinct.row_masks * 3)
+    assert distinct.distinct_row_masks is distinct.row_masks
+    assert repeated.distinct_row_masks == distinct.row_masks
+    distinct.col_masks  # built once, as for any input; the sweep reuses it
+    calls = []
+
+    def counting_transpose(masks, size):
+        calls.append(len(masks))
+        return transpose(masks, size)
+
+    monkeypatch.setattr(cfrs.matrix, "transpose", counting_transpose)
+    assert find_conflict(distinct) is None
+    assert find_conflict(repeated) is None
+    assert calls == [70]
+    assert "col_masks" not in repeated.__dict__
 
 
 def _random_masks(rng, count, size, density):
