@@ -4,15 +4,13 @@ This is the package's one matcher.  Left vertices join a maximum matching
 one by one; before a vertex joins the matching is maximum, so (Berge) only
 the new vertex can start an augmenting path, and each join costs one
 breadth-first search for a shortest alternating path, with no recursion.
-On Fulkerson's bipartite split of a transitively closed DAG, where left and
-right copies index the same vertices, a Koenig pass reads a maximum
-antichain off the matching.
+The matcher also keeps Koenig's set, so on Fulkerson's bipartite split of a
+transitively closed DAG, where left and right copies index the same
+vertices, a maximum antichain is read off it without a further search.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
 from typing import Optional, Sequence
 
 from .errors import InternalError
@@ -20,7 +18,7 @@ from .matrix import bits_of, mask_of, select
 
 
 class LiveMatching:
-    """Maximum matching of the left vertices added so far.
+    """Maximum matching of the left vertices added so far, with its Koenig set.
 
     ``adj[u]`` is the bitset of right vertices adjacent to left vertex u, and
     right vertices are 0..n_right-1.  On the split of a DAG's closure, left
@@ -28,6 +26,13 @@ class LiveMatching:
     sources keeps the members closed under reach, so this is a maximum
     matching of the members' split, and their width grows exactly when
     :meth:`augment` fails.
+
+    Koenig's set Z holds the vertices that alternating paths from the free
+    left copies reach.  It is the same for every maximum matching
+    (Dulmage-Mendelsohn), so no augmenting path meets it and a matched
+    vertex of Z keeps its partner: Z grows only when :meth:`augment` fails,
+    by the right copies that the exhausted search reached (``z_right``) and
+    their partners, which :meth:`antichain` folds in lazily.
     """
 
     def __init__(self, adj: Sequence[int], n_right: int):
@@ -35,10 +40,14 @@ class LiveMatching:
         self.free_left = 0  # members whose left copy is unmatched
         self.match_left: list[Optional[int]] = [None] * len(adj)
         self.match_right: list[Optional[int]] = [None] * n_right
+        self.z_right = 0  # right copies in Koenig's set
+        self._z_left = 0  # partners of the right copies in ``_folded``
+        self._folded = 0
 
     def augment(self, v: int) -> bool:
         """Add left vertex v; True iff a shortest alternating path from it
-        to a free right vertex matched it."""
+        to a free right vertex matched it.  On False, v stays free and the
+        right copies the search reached join ``z_right``."""
         adj, match_left, match_right = self.adj, self.match_left, self.match_right
         seen, via, frontier = 0, {}, [v]
         while frontier:
@@ -57,22 +66,19 @@ class LiveMatching:
                     next_frontier.append(match_right[w])
             frontier = next_frontier
         self.free_left |= 1 << v
+        self.z_right |= seen
         return False
 
     def antichain(self) -> int:
         """On the split of a DAG's closure, a maximum antichain of the
-        members, as a mask (Koenig): the left copies reachable by alternating
-        paths from the free ones, minus the right copies they meet.  It
+        members, as a mask (Koenig): the left copies in Z, the free ones and
+        the partners of Z's right copies, minus Z's right copies.  It
         depends on the members, not the matching."""
-        adj, match_right = self.adj, self.match_right
-        z_left = frontier = self.free_left
-        z_right = 0
-        while frontier:
-            fresh = reduce(or_, select(adj, frontier), 0) & ~z_right
-            z_right |= fresh
-            frontier = mask_of(select(match_right, fresh))
-            z_left |= frontier
-        antichain = z_left & ~z_right
+        fresh = self.z_right & ~self._folded
+        if fresh:
+            self._z_left |= mask_of(select(self.match_right, fresh))
+            self._folded = self.z_right
+        antichain = (self.free_left | self._z_left) & ~self.z_right
         if antichain.bit_count() != self.free_left.bit_count():
             raise InternalError("Koenig antichain size differs from the width")
         return antichain

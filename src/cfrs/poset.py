@@ -11,15 +11,14 @@ of matching value as a machine-checkable optimality certificate.
 All matching work runs on :class:`cfrs.matching.LiveMatching`: one maximum
 matching of Fulkerson's bipartite split of the transitive closure, grown one
 source at a time on the ``reach`` bitsets.  No adjacency list is built, and
-each added vertex costs one augmenting-path search plus, in the min-price
-recursion, one Koenig pass.
+each vertex that the min-price recursion adds back costs one augmenting-path
+search; only when the width grows is a tower level read off the Koenig set
+that the matcher keeps.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .containment import Dag, width
 from .errors import BudgetError, InternalError
@@ -92,11 +91,17 @@ def _grown(dag: Dag) -> LiveMatching:
     return live
 
 
-def _walk(v: int, step: list[Optional[int]]) -> list[int]:
-    path = [v]
-    while step[path[-1]] is not None:
-        path.append(step[path[-1]])
-    return path
+def _chains(live: LiveMatching) -> ChainPartition:
+    """The chains of a matching on the split of a DAG's closure, sorted:
+    each starts at a vertex whose right copy is free and follows partners."""
+    chains = []
+    for v, head in enumerate(live.match_right):
+        if head is None:
+            chain = [v]
+            while live.match_left[chain[-1]] is not None:
+                chain.append(live.match_left[chain[-1]])
+            chains.append(tuple(chain))
+    return tuple(sorted(chains))
 
 
 def dilworth_partition(dag: Dag) -> ChainPartition:
@@ -105,9 +110,7 @@ def dilworth_partition(dag: Dag) -> ChainPartition:
     Uses Fulkerson's reduction: a maximum matching on the bipartite split of
     the transitive closure, chains assembled from matched pairs.
     """
-    live = _grown(dag)
-    return tuple(sorted(tuple(_walk(v, live.match_left))
-                        for v in range(dag.n) if live.match_right[v] is None))
+    return _chains(_grown(dag))
 
 
 def maximum_antichain(dag: Dag) -> Antichain:
@@ -129,8 +132,14 @@ def min_price_chain_partition(
     reverse order to one live matching.  If the width grew, the new vertex
     is a singleton chain and the Koenig antichain a new tower level.  If
     not, each chain loses its prefix of ancestors of that antichain ``base``
-    and is stitched under the matched path ending at its ``base`` vertex;
-    these paths hold exactly the ancestors of ``base``.
+    and is stitched under the matched path ending at its ``base`` vertex.
+    That restitching is free, as the chains always follow the matched
+    partners: a matched vertex outside Koenig's set reaches ``base`` along
+    its partners (the first vertex of the set on that walk is in ``base``),
+    and an augmenting path avoids the set, so every vertex whose partner
+    changed is an ancestor of ``base`` and that partner is its restitched
+    successor, while every other successor stays.  So each added vertex costs
+    its augmenting path, and the chains are read off the final matching.
     """
     w = _validated_weights(dag, weights)
     if not is_monotone(dag, w):
@@ -149,26 +158,12 @@ def min_price_chain_partition(
         removal.append(v)
 
     live = LiveMatching(dag.reach, dag.n)
-    chains: list[list[int]] = []
     tower: list[Antichain] = []
     for v in reversed(removal):
-        if not live.augment(v):
-            chains.append([v])
-            tower.append(frozenset(bits_of(live.antichain())))
-            continue
-        # v is matched and no alternating path from a free left copy meets
-        # its partner, so this is also the members' antichain before v joined
-        base = live.antichain()
-        # ancestors of base, with vertices not yet added, which no chain holds
-        ancestors = reduce(or_, select(reached_by, base), 0)
-        for j, c in enumerate(chains):
-            i = next((i for i, x in enumerate(c) if not (ancestors >> x) & 1), -1)
-            if not (base >> c[i]) & 1:
-                raise InternalError("chain misaligned with the antichain")
-            chains[j] = _walk(c[i], live.match_right)[::-1] + c[i + 1:]
-
-    partition = tuple(tuple(c) for c in sorted(chains))
-    if not is_chain_partition(dag, partition):
+        if not live.augment(v):  # the width grew: v starts a new chain
+            tower.append(frozenset(select(range(dag.n), live.antichain())))
+    partition = _chains(live)
+    if len(partition) != len(tower) or not is_chain_partition(dag, partition):
         raise InternalError("min-price chains do not partition the vertices")
     price, value = evaluate(partition, tower, w)
     if price != value:

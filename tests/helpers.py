@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import reduce
+from operator import or_
 
 from cfrs import (
     BinaryMatrix,
@@ -19,7 +21,9 @@ from cfrs import (
     verify_row_split,
 )
 from cfrs.errors import InternalError, MatrixError
-from cfrs.matrix import ConflictWitness, RowSplit
+from cfrs.matching import LiveMatching
+from cfrs.matrix import ConflictWitness, RowSplit, bits_of, mask_of, select, transpose
+from cfrs.poset import evaluate, is_chain_partition, is_monotone
 
 # rows (1,1),(1,0),(0,1): the two column supports cross, so the matrix has a
 # conflict and its digraph is two incomparable vertices
@@ -556,3 +560,79 @@ def reference_split_to_branching(matrix: BinaryMatrix, split) -> Branching:
                                 f"in a conflict-free split")
         choice[i] = j
     return Branching(tuple(choice))
+
+
+def reference_koenig_antichain(live: LiveMatching) -> int:
+    """Koenig's maximum antichain of a live matching's members on the split
+    of a DAG's closure, by a fresh breadth-first pass from the free left
+    copies over the current matching."""
+    adj, match_right = live.adj, live.match_right
+    z_left = frontier = live.free_left
+    z_right = 0
+    while frontier:
+        fresh = reduce(or_, select(adj, frontier), 0) & ~z_right
+        z_right |= fresh
+        frontier = mask_of(select(match_right, fresh))
+        z_left |= frontier
+    antichain = z_left & ~z_right
+    if antichain.bit_count() != live.free_left.bit_count():
+        raise InternalError("Koenig antichain size differs from the width")
+    return antichain
+
+
+def reference_maximum_antichain(dag: Dag) -> frozenset[int]:
+    """Koenig's antichain of the whole DAG, its vertices added as sources."""
+    live = LiveMatching(dag.reach, dag.n)
+    for v in reversed(dag.topological_order):
+        live.augment(v)
+    return frozenset(bits_of(reference_koenig_antichain(live)))
+
+
+def _walk(v, step):
+    path = [v]
+    while step[path[-1]] is not None:
+        path.append(step[path[-1]])
+    return path
+
+
+def reference_min_price_chain_partition(dag: Dag, weights):
+    """Minimum-price chain partition and tower as first shipped: a Koenig
+    pass after every added vertex, and every chain rebuilt as a new list
+    after every successful augment."""
+    w = tuple(weights)
+    if not is_monotone(dag, w):
+        raise ValueError("weight function is not monotone on the digraph arcs")
+    reached_by = transpose(dag.reach, dag.n)
+
+    order = sorted(range(dag.n), key=lambda v: (w[v], v))
+    remaining = (1 << dag.n) - 1
+    removal = []
+    while order:
+        i = next(i for i, u in enumerate(order) if not reached_by[u] & remaining)
+        v = order.pop(i)
+        remaining ^= 1 << v
+        removal.append(v)
+
+    live = LiveMatching(dag.reach, dag.n)
+    chains = []
+    tower = []
+    for v in reversed(removal):
+        if not live.augment(v):
+            chains.append([v])
+            tower.append(frozenset(bits_of(reference_koenig_antichain(live))))
+            continue
+        base = reference_koenig_antichain(live)
+        ancestors = reduce(or_, select(reached_by, base), 0)
+        for j, c in enumerate(chains):
+            i = next((i for i, x in enumerate(c) if not (ancestors >> x) & 1), -1)
+            if not (base >> c[i]) & 1:
+                raise InternalError("chain misaligned with the antichain")
+            chains[j] = _walk(c[i], live.match_right)[::-1] + c[i + 1:]
+
+    partition = tuple(tuple(c) for c in sorted(chains))
+    if not is_chain_partition(dag, partition):
+        raise InternalError("min-price chains do not partition the vertices")
+    price, value = evaluate(partition, tower, w)
+    if price != value:
+        raise InternalError("certificate value does not match partition price")
+    return partition, tuple(tower)

@@ -1,8 +1,13 @@
 import random
 
-from cfrs.matching import maximum_bipartite_matching
+from cfrs.matching import LiveMatching, maximum_bipartite_matching
+from cfrs.matrix import bits_of, mask_of
 
-from tests.helpers import reference_maximum_bipartite_matching
+from tests.helpers import (
+    random_dag,
+    reference_koenig_antichain,
+    reference_maximum_bipartite_matching,
+)
 
 
 def _size(match_left):
@@ -49,3 +54,56 @@ def test_matching_matches_recursive_reference():
         _assert_valid(adj, n_right, match_left, match_right)
         expected, _ = reference_maximum_bipartite_matching(adj, n_right)
         assert _size(match_left) == _size(expected)
+
+
+def _augment_checked(live, v):
+    """Augment v and return the mask of left vertices whose partner changed:
+    none on failure, when v joins the free ones, else v among others."""
+    before = list(live.match_left)
+    matched = live.augment(v)
+    changed = mask_of(u for u, (old, new) in enumerate(zip(before, live.match_left))
+                      if old != new)
+    assert matched == bool(changed) == bool(changed >> v & 1)
+    assert (live.free_left >> v) & 1 == (not matched)
+    return changed
+
+
+def test_augment_changes_partners_only_on_success():
+    rng = random.Random(1313)
+    for _ in range(300):
+        n_left, n_right = rng.randint(1, 30), rng.randint(0, 30)
+        p = rng.choice((0.05, 0.15, 0.4))
+        adj = [mask_of(w for w in range(n_right) if rng.random() < p)
+               for _ in range(n_left)]
+        live = LiveMatching(adj, n_right)
+        order = list(range(n_left))
+        rng.shuffle(order)
+        for v in order:
+            _augment_checked(live, v)
+
+
+def test_kept_koenig_set_matches_a_fresh_pass_at_every_checkpoint():
+    # vertices join as sources of the members, in a random such order, and
+    # the antichain is read at random points between the augments; every
+    # left vertex whose partner changed reaches the antichain, which is why
+    # the min-price chains are the matching's own
+    rng = random.Random(1414)
+    reads = 0
+    for trial in range(400):
+        dag = random_dag(rng, max_vertices=(8, 16, 30)[trial % 3],
+                         arc_probability=(0.1, 0.3, 0.6)[trial % 4 % 3])
+        live = LiveMatching(dag.reach, dag.n)
+        members, outside = 0, set(range(dag.n))
+        while outside:
+            v = rng.choice(sorted(u for u in outside if dag.reach[u] & ~members == 0))
+            outside.remove(v)
+            members |= 1 << v
+            changed = _augment_checked(live, v)
+            if changed:
+                antichain = reference_koenig_antichain(live)
+                assert all(dag.reach[u] & antichain for u in bits_of(changed))
+            if rng.random() < 0.4:
+                assert live.antichain() == reference_koenig_antichain(live)
+                reads += 1
+        assert live.antichain() == reference_koenig_antichain(live)
+    assert reads > 1000

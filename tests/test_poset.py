@@ -12,6 +12,7 @@ from cfrs import (
     dilworth_partition,
     evaluate,
     gen_block_tree,
+    gen_random,
     gen_random_laminar,
     maximum_antichain,
     min_price_chain_partition,
@@ -30,10 +31,13 @@ from cfrs.poset import (
 from tests.helpers import (
     GAP_DAG,
     gap_weights,
+    nested_prefix,
     oracle_max_antichain_size,
     random_corpus,
     random_dag,
     random_monotone_weights,
+    reference_maximum_antichain,
+    reference_min_price_chain_partition,
 )
 from tests.strategies import dags
 
@@ -204,3 +208,65 @@ def test_zero_one_weights_need_no_monotonicity():
         dag = random_dag(rng, max_vertices=7)
         weights = [rng.randint(0, 1) for _ in range(dag.n)]
         assert brute_force_min_price(dag, weights) == brute_force_max_tower(dag, weights)
+
+
+def _relabelled(rng, dag):
+    perm = list(range(dag.n))
+    rng.shuffle(perm)
+    return Dag(dag.n, [(perm[u], perm[v]) for u, v in dag.arcs])
+
+
+def _min_price_corpus():
+    """Seeded (digraph, weights) pairs: relabelled random DAGs with random
+    monotone and with constant weights, then containment digraphs of random,
+    laminar and block-tree matrices up to about 300 vertices."""
+    rng = random.Random(1212)
+    for trial in range(1000):
+        dag = _relabelled(rng, random_dag(
+            rng, max_vertices=(6, 12, 24)[trial % 3],
+            arc_probability=(0.1, 0.3, 0.6)[trial % 4 % 3]))
+        yield dag, random_monotone_weights(rng, dag, high=(2, 5, 50)[trial % 3])
+        yield dag, [1] * dag.n
+    matrices = [gen_random(m, n, density, seed)
+                for seed, (m, n, density) in enumerate(
+                    ((8, 20, 0.5), (20, 60, 0.3), (30, 150, 0.5), (40, 300, 0.2),
+                     (12, 300, 0.5), (60, 200, 0.1)))]
+    matrices += [gen_random_laminar(m, k, seed)
+                 for seed, (m, k) in enumerate(((10, 15), (50, 80), (120, 200),
+                                                (200, 300), (300, 300)))]
+    matrices += [gen_block_tree(d, h) for d, h in ((2, 5), (2, 8), (3, 5), (4, 4))]
+    for matrix in matrices:
+        dag = build_containment(matrix)
+        yield dag, [s.bit_count() for s in dag.supports]
+        yield dag, [1] * dag.n
+
+
+def test_min_price_and_antichain_match_the_reference_algorithm():
+    checked = differences = 0
+    for dag, weights in _min_price_corpus():
+        expected = reference_min_price_chain_partition(dag, weights)
+        differences += min_price_chain_partition(dag, weights) != expected
+        differences += maximum_antichain(dag) != reference_maximum_antichain(dag)
+        checked += 1
+    assert checked == 2000 + 2 * 15
+    assert differences == 0
+
+
+def test_min_price_on_large_inputs_needs_no_recursion():
+    n = 3000
+    path = Dag(n, [(i, i + 1) for i in range(n - 1)])
+    partition, tower = min_price_chain_partition(path, list(range(n)))
+    assert partition == (tuple(range(n)),)
+    assert tower == (frozenset({n - 1}),)
+
+    nested = build_containment(nested_prefix(2000, random.Random(7)))
+    sizes = [s.bit_count() for s in nested.supports]
+    partition, tower = min_price_chain_partition(nested, sizes)
+    assert len(partition) == 1 and len(tower) == 1
+    assert [sizes[v] for v in partition[0]] == list(range(1, 2001))
+
+    n = 1000
+    partition, tower = min_price_chain_partition(Dag(n), [3] * n)
+    assert partition == tuple((v,) for v in range(n))
+    assert len(tower) == n
+    assert [len(level) for level in tower] == list(range(1, n + 1))
