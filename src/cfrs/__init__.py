@@ -14,11 +14,9 @@ from .branching import (
     Branching,
     branching_split,
     branching_state_count,
-    chains_from_linear,
     exact_min_irreducible,
     exact_min_uncovered,
     irreducible_vertices,
-    iter_branchings,
     linear_from_chains,
     split_to_branching,
     uncovered_pairs,
@@ -28,9 +26,7 @@ from .containment import (
     ContainmentDigraph,
     Dag,
     build_containment,
-    elementary_arcs,
     height,
-    transitive_closure,
     width,
 )
 from .errors import BudgetError, CfrsError, ConflictError, InternalError, MatrixError
@@ -57,13 +53,10 @@ from .matrix import (
     count_distinct_rows,
     find_conflict,
     identity_split,
-    is_laminar,
     reduce_columns,
     verify_row_split,
 )
 from .poset import (
-    brute_force_max_tower,
-    brute_force_min_price,
     dilworth_partition,
     evaluate,
     is_antichain,
@@ -93,17 +86,16 @@ __all__ = [
     "Dag", "InternalError", "MatrixError", "PhyloTree", "RowSplit",
     "SolveReport", "Verdict",
     "approx_distinct_2", "approx_height", "approx_width", "branching_split",
-    "branching_state_count", "brute_force_max_tower", "brute_force_min_price",
-    "brute_force_vertex_cover", "build_containment", "build_phylogeny",
-    "chains_from_linear", "column_support", "count_distinct_cols",
-    "count_distinct_rows", "dilworth_partition", "elementary_arcs", "evaluate",
+    "branching_state_count", "brute_force_vertex_cover", "build_containment",
+    "build_phylogeny", "column_support", "count_distinct_cols",
+    "count_distinct_rows", "dilworth_partition", "evaluate",
     "exact_min_irreducible", "exact_min_uncovered", "find_conflict",
     "gen_block_tree", "gen_ib_reduction", "gen_random", "gen_random_laminar",
     "gen_vc_reduction", "height", "identity_split", "irreducible_vertices",
-    "is_antichain", "is_chain", "is_chain_partition", "is_laminar",
-    "is_monotone", "is_tower", "iter_branchings", "linear_from_chains",
-    "maximum_antichain", "min_price_chain_partition", "parse_edge_list",
-    "partition_price", "reduce_columns", "solve_exact", "solve_linear_heuristic",
-    "split_to_branching", "tower_value", "transitive_closure",
-    "uncovered_pairs", "validate_branching", "verify_row_split", "width",
+    "is_antichain", "is_chain", "is_chain_partition", "is_monotone",
+    "is_tower", "linear_from_chains", "maximum_antichain",
+    "min_price_chain_partition", "parse_edge_list", "partition_price",
+    "reduce_columns", "solve_exact", "solve_linear_heuristic",
+    "split_to_branching", "tower_value", "uncovered_pairs",
+    "validate_branching", "verify_row_split", "width",
 ]

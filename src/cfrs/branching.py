@@ -10,9 +10,8 @@ minimize.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .containment import ContainmentDigraph, Dag
 from .errors import BudgetError, InternalError, MatrixError
@@ -179,13 +178,6 @@ def branching_state_count(digraph: Dag) -> int:
     for v in range(digraph.n):
         total *= digraph.out_masks[v].bit_count() + 1
     return total
-
-
-def iter_branchings(digraph: Dag) -> Iterator[Branching]:
-    """Every branching, in lexicographic order of the choice tuple."""
-    options = [(None, *digraph.out(v)) for v in range(digraph.n)]
-    for combo in itertools.product(*options):
-        yield Branching(combo)
 
 
 def _decision_order(digraph: Dag) -> list[int]:
@@ -382,25 +374,3 @@ def linear_from_chains(chains) -> Branching:
         for a, b in zip(chain, chain[1:]):
             choice[a] = b
     return Branching(tuple(choice))
-
-
-def chains_from_linear(branching: Branching):
-    """Inverse of :func:`linear_from_chains` for linear branchings.
-
-    Raises ValueError when some vertex is entered by two branching arcs.
-    """
-    heads = [v for v in branching.choice if v is not None]
-    if len(heads) != len(set(heads)):
-        raise ValueError("branching is not linear: a vertex has in-degree two")
-    head_set = set(heads)
-    chains = []
-    for start in range(branching.k):
-        if start in head_set:
-            continue
-        path = [start]
-        while branching.choice[path[-1]] is not None:
-            path.append(branching.choice[path[-1]])
-            if len(path) > branching.k:
-                raise ValueError("branching contains a cycle")
-        chains.append(tuple(path))
-    return tuple(chains)

@@ -73,9 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="linear")
     p.add_argument("--out", help="write the split to this file")
     p.add_argument("--json", help="write the report to this file")
-    p.add_argument("--budget", type=int, default=None,
-                   help="branching budget for exact methods "
-                        "(default: CFRS_BUDGET or 10^8)")
+    p.add_argument("--budget", help="branching budget for exact methods, a "
+                   "non-negative integer (default: CFRS_BUDGET or 10^8)")
 
     p = sub.add_parser("verify", help="check a split file against a matrix")
     p.add_argument("matrix")
@@ -138,11 +137,23 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _budget(args) -> int:
+    """The exact methods' budget from --budget, else CFRS_BUDGET, else 10^8."""
+    name, text = "--budget", args.budget
+    if text is None:
+        name, text = "CFRS_BUDGET", os.environ.get("CFRS_BUDGET", str(DEFAULT_BUDGET))
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {text!r}")
+    return budget
+
+
 def _cmd_solve(args) -> int:
     matrix = _load_matrix(args.file)
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get("CFRS_BUDGET", DEFAULT_BUDGET))
+    budget = _budget(args)
     if args.method == "exact-rows":
         split, report = solve_exact(matrix, "rows", budget)
     elif args.method == "exact-distinct":

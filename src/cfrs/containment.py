@@ -84,24 +84,6 @@ class Dag:
         return tuple(masks)
 
 
-def transitive_closure(dag: Dag) -> frozenset[tuple[int, int]]:
-    """All pairs (u, v) connected by a non-trivial directed path."""
-    return frozenset(
-        (u, v) for u in range(dag.n) for v in bits_of(dag.reach[u])
-    )
-
-
-def elementary_arcs(dag: Dag) -> frozenset[tuple[int, int]]:
-    """Arcs (u, v) with no vertex w such that (u, w) and (w, v) are both arcs.
-
-    On a transitively closed digraph this is the transitive reduction.
-    """
-    out, in_ = dag.out_masks, dag.in_masks
-    return frozenset(
-        (u, v) for u in range(dag.n) for v in bits_of(out[u]) if not out[u] & in_[v]
-    )
-
-
 def height(dag: Dag) -> int:
     """Maximum number of vertices on a directed path.  A vertex reaches only
     vertices reaching fewer, so taken by reach size each lands one level (a

@@ -13,6 +13,12 @@ from .matrix import BinaryMatrix, mask_of
 MAX_GENERATED_CELLS = 2_000_000
 
 
+def _check_cells(m: int, n: int) -> None:
+    """Refuse an m x n matrix over the size cap before anything is built."""
+    if m * n > MAX_GENERATED_CELLS:
+        raise ValueError(f"{m}x{n} exceeds the size cap of {MAX_GENERATED_CELLS} cells")
+
+
 @dataclass(frozen=True)
 class CubicGraph:
     """Simple 3-regular graph on vertices 0..n-1 with a sorted edge list."""
@@ -80,10 +86,12 @@ def gen_block_tree(d: int, h: int) -> BinaryMatrix:
     """
     if d < 2 or h < 2:
         raise ValueError("need d >= 2 and h >= 2")
+    # d**(h-1) >= max(d, 2**(h-1)) rows: refuse before taking a giant power
+    if d > MAX_GENERATED_CELLS or h > MAX_GENERATED_CELLS.bit_length():
+        raise ValueError(f"d**(h-1) rows exceed the size cap of {MAX_GENERATED_CELLS} cells")
     m = d ** (h - 1)
     n = (d ** h - 1) // (d - 1)
-    if m * n > MAX_GENERATED_CELLS:
-        raise ValueError(f"{m}x{n} exceeds the size cap of {MAX_GENERATED_CELLS} cells")
+    _check_cells(m, n)
     masks = []
     for i in range(1, h + 1):
         size = d ** (i - 1)
@@ -150,6 +158,7 @@ def gen_random(m: int, n: int, density: float, seed: int) -> BinaryMatrix:
         raise ValueError("need at least one row and one column")
     if not 0 < density < 1:
         raise ValueError("density must be strictly between 0 and 1")
+    _check_cells(m, n)
     rng = random.Random(seed)
     rows = [[1 if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
     while True:
@@ -182,6 +191,7 @@ def gen_random_laminar(m: int, k: int, seed: int) -> BinaryMatrix:
             f"a laminar family over {m} rows has at most {2 * m - 1} distinct "
             f"nonempty supports; got k={k}"
         )
+    _check_cells(m, k)
     rng = random.Random(seed)
     blocks: list[tuple[int, ...]] = []
     stack: list[tuple[int, ...]] = [tuple(range(m))]

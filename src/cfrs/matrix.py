@@ -357,21 +357,6 @@ def count_distinct_cols(matrix: BinaryMatrix) -> int:
     return len(set(matrix.col_masks))
 
 
-def is_laminar(matrix: BinaryMatrix) -> bool:
-    """True iff every two column supports are nested or disjoint.
-
-    Implemented by direct pairwise support comparison, independently of
-    :func:`find_conflict`, so the two can cross-check each other.
-    """
-    masks = sorted(set(matrix.col_masks))
-    for a in range(len(masks)):
-        for b in range(a + 1, len(masks)):
-            inter = masks[a] & masks[b]
-            if inter and inter != masks[a] and inter != masks[b]:
-                return False
-    return True
-
-
 def identity_split(matrix: BinaryMatrix) -> RowSplit:
     """The trivial split of a matrix into itself, one singleton group per row."""
     return RowSplit(matrix, tuple((i,) for i in range(matrix.m)))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .containment import Dag, width
-from .errors import BudgetError, InternalError
+from .errors import InternalError
 from .matching import LiveMatching
 from .matrix import bits_of, mask_of, select, transpose
 
@@ -29,8 +29,6 @@ Chain = tuple[int, ...]
 ChainPartition = tuple[Chain, ...]
 Antichain = frozenset[int]
 Tower = tuple[Antichain, ...]
-
-BRUTE_FORCE_CAP = 10
 
 
 def _validated_weights(dag: Dag, weights: Sequence[int]) -> tuple[int, ...]:
@@ -169,71 +167,3 @@ def min_price_chain_partition(
     if price != value:
         raise InternalError("certificate value does not match partition price")
     return partition, tuple(tower)
-
-
-def _comparable(dag: Dag) -> list[int]:
-    """Per vertex, the bitset of the vertices comparable to it, for the
-    brute-force oracles; refuses DAGs above :data:`BRUTE_FORCE_CAP`."""
-    if dag.n > BRUTE_FORCE_CAP:
-        raise BudgetError(f"{dag.n} vertices exceed the brute-force cap of "
-                          f"{BRUTE_FORCE_CAP}")
-    return [out | into for out, into in zip(dag.reach, transpose(dag.reach, dag.n))]
-
-
-def brute_force_min_price(dag: Dag, weights: Sequence[int]) -> int:
-    """Exact minimum price over all chain partitions, by exhaustion.
-
-    Test oracle: no monotonicity required.  Enumerates set partitions whose
-    blocks are pairwise comparable (every such block is a chain).
-    """
-    w = _validated_weights(dag, weights)
-    comparable = _comparable(dag)
-    best = sum(w)  # all-singleton partition
-    block_masks: list[int] = []
-    block_price: list[int] = []
-
-    def extend(v: int, total: int) -> None:
-        nonlocal best
-        if total >= best:
-            return
-        if v == dag.n:
-            best = total
-            return
-        for b in range(len(block_masks)):
-            if block_masks[b] & ~comparable[v]:
-                continue
-            old = block_price[b]
-            new = max(old, w[v])
-            block_masks[b] |= 1 << v
-            block_price[b] = new
-            extend(v + 1, total + new - old)
-            block_masks[b] ^= 1 << v
-            block_price[b] = old
-        block_masks.append(1 << v)
-        block_price.append(w[v])
-        extend(v + 1, total + w[v])
-        block_masks.pop()
-        block_price.pop()
-
-    extend(0, 0)
-    return best
-
-
-def brute_force_max_tower(dag: Dag, weights: Sequence[int]) -> int:
-    """Exact maximum tower value, by enumerating every antichain.
-
-    Level choices are independent, so the answer is the sum over sizes
-    1..width of the best value among antichains of that exact size.
-    """
-    w = _validated_weights(dag, weights)
-    comparable = _comparable(dag)
-    best_by_size: dict[int, int] = {}
-    for subset in range(1, 1 << dag.n):
-        if any(subset & comparable[v] for v in bits_of(subset)):
-            continue
-        size = subset.bit_count()
-        value = min(w[v] for v in bits_of(subset))
-        if best_by_size.get(size, -1) < value:
-            best_by_size[size] = value
-    wdt = max(best_by_size)
-    return sum(best_by_size[i] for i in range(1, wdt + 1))

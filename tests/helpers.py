@@ -6,6 +6,7 @@ import itertools
 import random
 from functools import reduce
 from operator import or_
+from typing import Iterator, Sequence
 
 from cfrs import (
     BinaryMatrix,
@@ -13,17 +14,16 @@ from cfrs import (
     ContainmentDigraph,
     CubicGraph,
     Dag,
-    elementary_arcs,
     gen_block_tree,
     gen_random,
     gen_random_laminar,
     reduce_columns,
     verify_row_split,
 )
-from cfrs.errors import InternalError, MatrixError
+from cfrs.errors import BudgetError, InternalError, MatrixError
 from cfrs.matching import LiveMatching
 from cfrs.matrix import ConflictWitness, RowSplit, bits_of, mask_of, select, transpose
-from cfrs.poset import evaluate, is_chain_partition, is_monotone
+from cfrs.poset import _validated_weights, evaluate, is_chain_partition, is_monotone
 
 # rows (1,1),(1,0),(0,1): the two column supports cross, so the matrix has a
 # conflict and its digraph is two incomparable vertices
@@ -148,6 +148,139 @@ def with_last_pair_crossing(matrix: BinaryMatrix) -> BinaryMatrix:
 
 # ---------------------------------------------------------------------------
 # Independent oracles
+
+
+BRUTE_FORCE_CAP = 10
+
+
+def _comparable(dag: Dag) -> list[int]:
+    """Per vertex, the bitset of the vertices comparable to it, for the
+    brute-force oracles; refuses DAGs above :data:`BRUTE_FORCE_CAP`."""
+    if dag.n > BRUTE_FORCE_CAP:
+        raise BudgetError(f"{dag.n} vertices exceed the brute-force cap of "
+                          f"{BRUTE_FORCE_CAP}")
+    return [out | into for out, into in zip(dag.reach, transpose(dag.reach, dag.n))]
+
+
+def brute_force_min_price(dag: Dag, weights: Sequence[int]) -> int:
+    """Exact minimum price over all chain partitions, by exhaustion.
+
+    Test oracle: no monotonicity required.  Enumerates set partitions whose
+    blocks are pairwise comparable (every such block is a chain).
+    """
+    w = _validated_weights(dag, weights)
+    comparable = _comparable(dag)
+    best = sum(w)  # all-singleton partition
+    block_masks: list[int] = []
+    block_price: list[int] = []
+
+    def extend(v: int, total: int) -> None:
+        nonlocal best
+        if total >= best:
+            return
+        if v == dag.n:
+            best = total
+            return
+        for b in range(len(block_masks)):
+            if block_masks[b] & ~comparable[v]:
+                continue
+            old = block_price[b]
+            new = max(old, w[v])
+            block_masks[b] |= 1 << v
+            block_price[b] = new
+            extend(v + 1, total + new - old)
+            block_masks[b] ^= 1 << v
+            block_price[b] = old
+        block_masks.append(1 << v)
+        block_price.append(w[v])
+        extend(v + 1, total + w[v])
+        block_masks.pop()
+        block_price.pop()
+
+    extend(0, 0)
+    return best
+
+
+def brute_force_max_tower(dag: Dag, weights: Sequence[int]) -> int:
+    """Exact maximum tower value, by enumerating every antichain.
+
+    Level choices are independent, so the answer is the sum over sizes
+    1..width of the best value among antichains of that exact size.
+    """
+    w = _validated_weights(dag, weights)
+    comparable = _comparable(dag)
+    best_by_size: dict[int, int] = {}
+    for subset in range(1, 1 << dag.n):
+        if any(subset & comparable[v] for v in bits_of(subset)):
+            continue
+        size = subset.bit_count()
+        value = min(w[v] for v in bits_of(subset))
+        if best_by_size.get(size, -1) < value:
+            best_by_size[size] = value
+    wdt = max(best_by_size)
+    return sum(best_by_size[i] for i in range(1, wdt + 1))
+
+
+def iter_branchings(digraph: Dag) -> Iterator[Branching]:
+    """Every branching, in lexicographic order of the choice tuple."""
+    options = [(None, *digraph.out(v)) for v in range(digraph.n)]
+    for combo in itertools.product(*options):
+        yield Branching(combo)
+
+
+def chains_from_linear(branching: Branching):
+    """Inverse of :func:`linear_from_chains` for linear branchings.
+
+    Raises ValueError when some vertex is entered by two branching arcs.
+    """
+    heads = [v for v in branching.choice if v is not None]
+    if len(heads) != len(set(heads)):
+        raise ValueError("branching is not linear: a vertex has in-degree two")
+    head_set = set(heads)
+    chains = []
+    for start in range(branching.k):
+        if start in head_set:
+            continue
+        path = [start]
+        while branching.choice[path[-1]] is not None:
+            path.append(branching.choice[path[-1]])
+            if len(path) > branching.k:
+                raise ValueError("branching contains a cycle")
+        chains.append(tuple(path))
+    return tuple(chains)
+
+
+def transitive_closure(dag: Dag) -> frozenset[tuple[int, int]]:
+    """All pairs (u, v) connected by a non-trivial directed path."""
+    return frozenset(
+        (u, v) for u in range(dag.n) for v in bits_of(dag.reach[u])
+    )
+
+
+def elementary_arcs(dag: Dag) -> frozenset[tuple[int, int]]:
+    """Arcs (u, v) with no vertex w such that (u, w) and (w, v) are both arcs.
+
+    On a transitively closed digraph this is the transitive reduction.
+    """
+    out, in_ = dag.out_masks, dag.in_masks
+    return frozenset(
+        (u, v) for u in range(dag.n) for v in bits_of(out[u]) if not out[u] & in_[v]
+    )
+
+
+def is_laminar(matrix: BinaryMatrix) -> bool:
+    """True iff every two column supports are nested or disjoint.
+
+    Implemented by direct pairwise support comparison, independently of
+    :func:`find_conflict`, so the two can cross-check each other.
+    """
+    masks = sorted(set(matrix.col_masks))
+    for a in range(len(masks)):
+        for b in range(a + 1, len(masks)):
+            inter = masks[a] & masks[b]
+            if inter and inter != masks[a] and inter != masks[b]:
+                return False
+    return True
 
 
 def oracle_max_antichain_size(dag: Dag) -> int:

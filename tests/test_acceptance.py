@@ -12,8 +12,6 @@ import pytest
 from cfrs import (
     branching_split,
     branching_state_count,
-    brute_force_max_tower,
-    brute_force_min_price,
     brute_force_vertex_cover,
     build_containment,
     count_distinct_cols,
@@ -26,7 +24,6 @@ from cfrs import (
     gen_ib_reduction,
     gen_vc_reduction,
     irreducible_vertices,
-    iter_branchings,
     min_price_chain_partition,
     solve_exact,
     solve_linear_heuristic,
@@ -40,8 +37,11 @@ from cfrs.solvers import approx_distinct_2, approx_height, approx_width
 
 from tests.helpers import (
     GAP_DAG,
+    brute_force_max_tower,
+    brute_force_min_price,
     duplicate_column,
     gap_weights,
+    iter_branchings,
     k4,
     k33,
     prism,

@@ -16,7 +16,6 @@ from cfrs import (
     branching_split,
     branching_state_count,
     build_containment,
-    chains_from_linear,
     count_distinct_rows,
     dilworth_partition,
     exact_min_irreducible,
@@ -26,7 +25,6 @@ from cfrs import (
     gen_random_laminar,
     gen_vc_reduction,
     irreducible_vertices,
-    iter_branchings,
     linear_from_chains,
     solve_linear_heuristic,
     split_to_branching,
@@ -42,8 +40,10 @@ from cfrs.poset import partition_price
 from tests.helpers import (
     CROSSING_PAIR,
     NESTED_PAIR,
+    chains_from_linear,
     differential_corpus,
     duplicate_column,
+    iter_branchings,
     k33,
     k4,
     nested_prefix,

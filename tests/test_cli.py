@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -85,6 +86,32 @@ def test_budget_exit_code(block_tree_file, capsys, monkeypatch):
     assert "error" in capsys.readouterr().err
     monkeypatch.setenv("CFRS_BUDGET", "5")
     assert main(["solve", str(block_tree_file), "--method", "exact-rows"]) == 2
+
+
+def test_invalid_budget_exits_one_naming_its_source(block_tree_file, capsys, monkeypatch):
+    solve = ["solve", str(block_tree_file), "--method", "exact-rows"]
+    for budget in ("-3", "abc", "1.5", ""):
+        assert main(solve + ["--budget", budget]) == 1
+        assert "--budget must be a non-negative integer" in capsys.readouterr().err
+    for budget in ("-1", "abc"):
+        monkeypatch.setenv("CFRS_BUDGET", budget)
+        assert main(solve) == 1
+        assert "CFRS_BUDGET must be a non-negative integer" in capsys.readouterr().err
+    # --budget wins over the variable, and 0 is a valid budget that refuses
+    assert main(solve + ["--budget", "0"]) == 2
+    capsys.readouterr()
+
+
+def test_gen_over_the_size_cap_exits_one_fast(capsys):
+    start = time.perf_counter()
+    for command in (["md", "--d", "10", "--h", "5000"],
+                    ["md", "--d", "10", "--h", "3000000"],
+                    ["random", "--rows", "100000", "--cols", "100000",
+                     "--density", "0.5", "--seed", "1"],
+                    ["laminar", "--rows", "1001", "--k", "1999", "--seed", "1"]):
+        assert main(["gen", *command]) == 1
+        assert "the size cap of 2000000 cells" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
 
 
 def test_exact_solve_deeper_than_the_recursion_limit(tmp_path, capsys):

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from cfrs import (
     Dag,
     build_containment,
-    elementary_arcs,
     gen_block_tree,
     gen_random,
     gen_random_laminar,
     height,
     maximum_antichain,
-    transitive_closure,
     width,
 )
 from cfrs.matrix import BinaryMatrix, mask_of
@@ -22,6 +20,7 @@ from tests.helpers import (
     NESTED_PAIR,
     differential_corpus,
     duplicate_column,
+    elementary_arcs,
     nested_prefix,
     oracle_longest_chain,
     oracle_max_antichain_size,
@@ -30,6 +29,7 @@ from tests.helpers import (
     reference_height,
     reference_kahn_order,
     reference_width,
+    transitive_closure,
 )
 from tests.strategies import dags
 

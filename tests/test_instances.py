@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from cfrs import (
@@ -17,6 +19,7 @@ from cfrs import (
     height,
     parse_edge_list,
 )
+from cfrs import instances
 
 from tests.helpers import k4, k33, q3
 
@@ -140,3 +143,35 @@ def test_gen_random_laminar_cap():
         gen_random_laminar(4, 8, 0)
     with pytest.raises(ValueError):
         gen_random_laminar(4, 0, 0)
+
+
+def test_generators_refuse_over_the_size_cap_before_building(monkeypatch):
+    # whatever the generators build with is gone, so each refusal below must
+    # come from the cap check, ahead of any sampling or allocation
+    for name in ("random", "mask_of", "BinaryMatrix"):
+        monkeypatch.setattr(instances, name, None)
+    cap = instances.MAX_GENERATED_CELLS
+    over = [
+        lambda: gen_block_tree(1414, 2),  # 1414 x 1415, just over
+        lambda: gen_block_tree(2, 21),
+        lambda: gen_block_tree(2, cap.bit_length() + 1),
+        lambda: gen_block_tree(cap + 1, 2),
+        lambda: gen_block_tree(10, 5000),  # d**h has 5000 digits
+        lambda: gen_block_tree(10, 3_000_000),
+        lambda: gen_random(2, cap // 2 + 1, 0.5, 0),
+        lambda: gen_random(10**5, 10**5, 0.5, 0),
+        lambda: gen_random_laminar(1001, 1999, 0),  # 2,000,999 cells
+        lambda: gen_random_laminar(10**6, 10**6, 0),
+    ]
+    start = time.perf_counter()
+    for make in over:
+        with pytest.raises(ValueError, match=f"size cap of {cap} cells"):
+            make()
+    assert time.perf_counter() - start < 1
+
+
+def test_generators_build_up_to_the_size_cap():
+    matrix = gen_random_laminar(1250, 1600, 0)  # exactly the cap
+    assert (matrix.m, matrix.n) == (1250, 1600)
+    matrix = gen_block_tree(1413, 2)  # 1413 x 1414, the largest d at h = 2
+    assert (matrix.m, matrix.n) == (1413, 1414)

@@ -19,7 +19,6 @@ from cfrs import (
     gen_block_tree,
     gen_random_laminar,
     identity_split,
-    is_laminar,
     reduce_columns,
     verify_row_split,
 )
@@ -40,6 +39,7 @@ from tests.helpers import (
     NESTED_PAIR,
     differential_corpus,
     duplicate_column,
+    is_laminar,
     nested_prefix,
     oracle_has_conflict,
     random_corpus,

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from cfrs import (
     BudgetError,
     Dag,
-    brute_force_max_tower,
-    brute_force_min_price,
     build_containment,
     dilworth_partition,
     evaluate,
@@ -19,7 +17,6 @@ from cfrs import (
     width,
 )
 from cfrs.poset import (
-    BRUTE_FORCE_CAP,
     is_antichain,
     is_chain_partition,
     is_monotone,
@@ -29,7 +26,10 @@ from cfrs.poset import (
 )
 
 from tests.helpers import (
+    BRUTE_FORCE_CAP,
     GAP_DAG,
+    brute_force_max_tower,
+    brute_force_min_price,
     gap_weights,
     nested_prefix,
     oracle_max_antichain_size,
