@@ -352,14 +352,14 @@ def exact_min_uncovered(digraph: ContainmentDigraph,
     This equals the minimum row count over all conflict-free row splits of
     the digraph's matrix.
     """
-    return _exact_minimize(digraph, lambda mask: mask.bit_count(), budget)
+    return _exact_minimize(digraph, int.bit_count, budget)
 
 
 def exact_min_irreducible(digraph: ContainmentDigraph,
                           budget: int = DEFAULT_BUDGET) -> tuple[Branching, int]:
     """Branching minimizing the number of irreducible vertices, with that
     number: the minimum distinct-row count over all conflict-free splits."""
-    return _exact_minimize(digraph, lambda mask: 1 if mask else 0, budget)
+    return _exact_minimize(digraph, bool, budget)
 
 
 def linear_from_chains(chains) -> Branching:

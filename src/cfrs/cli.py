@@ -40,7 +40,17 @@ from .solvers import (
     solve_linear_heuristic,
 )
 
-METHODS = ("exact-rows", "exact-distinct", "linear", "height", "width", "distinct-2")
+# method name -> its solve call, given the matrix and the exact budget.  Each
+# solver is looked up by name when called, so a module attribute swapped at
+# run time (a timing wrapper, say) is the one that runs.
+METHODS = {
+    "exact-rows": lambda matrix, budget: solve_exact(matrix, "rows", budget),
+    "exact-distinct": lambda matrix, budget: solve_exact(matrix, "distinct", budget),
+    "linear": lambda matrix, budget: solve_linear_heuristic(matrix),
+    "height": lambda matrix, budget: approx_height(matrix),
+    "width": lambda matrix, budget: approx_width(matrix),
+    "distinct-2": lambda matrix, budget: approx_distinct_2(matrix),
+}
 
 
 def _read(path: str) -> str:
@@ -58,6 +68,8 @@ def _load_matrix(path: str) -> BinaryMatrix:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cfrs`` parser; each subcommand sets ``handler``, each gen
+    family ``build`` (its matrix from the parsed arguments)."""
     parser = argparse.ArgumentParser(
         prog="cfrs",
         description="Solve, approximate, and certify conflict-free row splits "
@@ -67,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="print matrix statistics")
     p.add_argument("file")
+    p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("solve", help="compute a conflict-free row split")
     p.add_argument("file")
@@ -75,49 +88,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write the report to this file")
     p.add_argument("--budget", help="branching budget for exact methods, a "
                    "non-negative integer (default: CFRS_BUDGET or 10^8)")
+    p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a split file against a matrix")
     p.add_argument("matrix")
     p.add_argument("split")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("gen", help="generate an instance")
+    p.set_defaults(handler=_cmd_gen)
     gen_sub = p.add_subparsers(dest="family", required=True)
 
     g = gen_sub.add_parser("md", help="complete d-ary block-tree family")
     g.add_argument("--d", type=int, required=True)
     g.add_argument("--h", type=int, required=True)
-    g.add_argument("--out")
+    g.set_defaults(build=lambda a: gen_block_tree(a.d, a.h))
 
     g = gen_sub.add_parser("vc-reduction",
                            help="vertex-cover reduction of a cubic graph")
     g.add_argument("--graph", required=True, help="edge-list file")
-    g.add_argument("--out")
+    g.set_defaults(build=lambda a: gen_vc_reduction(parse_edge_list(_read(a.graph))))
 
     g = gen_sub.add_parser("ib-reduction",
                            help="distinct-rows reduction of a cubic graph")
     g.add_argument("--graph", required=True, help="edge-list file")
-    g.add_argument("--out")
+    g.set_defaults(build=lambda a: gen_ib_reduction(parse_edge_list(_read(a.graph))))
 
     g = gen_sub.add_parser("random", help="seeded random matrix")
     g.add_argument("--rows", type=int, required=True)
     g.add_argument("--cols", type=int, required=True)
     g.add_argument("--density", type=float, required=True)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--out")
+    g.set_defaults(build=lambda a: gen_random(a.rows, a.cols, a.density, a.seed))
 
     g = gen_sub.add_parser("laminar", help="seeded conflict-free matrix")
     g.add_argument("--rows", type=int, required=True)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--out")
+    g.set_defaults(build=lambda a: gen_random_laminar(a.rows, a.k, a.seed))
+
+    for g in gen_sub.choices.values():
+        g.add_argument("--out")
 
     p = sub.add_parser("tree", help="export the phylogeny as DOT")
     p.add_argument("file")
     p.add_argument("--dot", required=True)
+    p.set_defaults(handler=_cmd_tree)
 
     p = sub.add_parser("digraph", help="export the containment digraph as DOT")
     p.add_argument("file")
     p.add_argument("--dot", required=True)
+    p.set_defaults(handler=_cmd_digraph)
 
     return parser
 
@@ -153,19 +174,7 @@ def _budget(args) -> int:
 
 def _cmd_solve(args) -> int:
     matrix = _load_matrix(args.file)
-    budget = _budget(args)
-    if args.method == "exact-rows":
-        split, report = solve_exact(matrix, "rows", budget)
-    elif args.method == "exact-distinct":
-        split, report = solve_exact(matrix, "distinct", budget)
-    elif args.method == "linear":
-        split, report = solve_linear_heuristic(matrix)
-    elif args.method == "height":
-        split, report = approx_height(matrix)
-    elif args.method == "width":
-        split, report = approx_width(matrix)
-    else:
-        split, report = approx_distinct_2(matrix)
+    split, report = METHODS[args.method](matrix, _budget(args))
     for key, value in report.to_json_dict().items():
         print(f"{key}: {value}")
     print(f"elapsed: {report.elapsed_seconds:.3f}s", file=sys.stderr)
@@ -188,17 +197,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "md":
-        matrix = gen_block_tree(args.d, args.h)
-    elif args.family == "vc-reduction":
-        matrix = gen_vc_reduction(parse_edge_list(_read(args.graph)))
-    elif args.family == "ib-reduction":
-        matrix = gen_ib_reduction(parse_edge_list(_read(args.graph)))
-    elif args.family == "random":
-        matrix = gen_random(args.rows, args.cols, args.density, args.seed)
-    else:
-        matrix = gen_random_laminar(args.rows, args.k, args.seed)
-    text = formats.format_matrix(matrix)
+    text = formats.format_matrix(args.build(args))
     if args.out:
         _write(args.out, text)
     else:
@@ -219,26 +218,19 @@ def _cmd_digraph(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "solve": _cmd_solve,
-    "verify": _cmd_verify,
-    "gen": _cmd_gen,
-    "tree": _cmd_tree,
-    "digraph": _cmd_digraph,
-}
+# built once per process: main() only parses and dispatches
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; exit 2 is reserved for exceeded
         # budgets, so remap (keep 0 for --help)
         return 0 if exc.code == 0 else 1
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

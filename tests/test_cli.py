@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -127,6 +128,32 @@ def test_unknown_flags_exit_one(capsys):
     assert main(["solve", "f", "--method", "psychic"]) == 1
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_main_builds_no_parser_and_keeps_no_state_between_calls(
+        block_tree_file, tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["solve", str(block_tree_file), "--method", "exact-rows",
+                 "--budget", "0"]) == 2
+    report_path = tmp_path / "report.json"
+    assert main(["solve", str(block_tree_file), "--json", str(report_path)]) == 0
+    assert built == []
+    assert json.loads(report_path.read_text())["method"] == "linear"
+    capsys.readouterr()
+    md_path = tmp_path / "md.txt"
+    assert main(["gen", "md", "--d", "2", "--h", "2", "--out", str(md_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert md_path.read_text().startswith("2 3\n")
+    assert main(["gen", "random", "--rows", "3", "--cols", "3",
+                 "--density", "0.5", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.startswith("3 3\n")
 
 
 def test_invalid_inputs_exit_one(tmp_path, capsys):
