@@ -8,6 +8,7 @@ the same format, a blank line, then m lines "i: j1 j2 ..." giving the
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterator
 
 from .containment import ContainmentDigraph, Dag
@@ -22,69 +23,70 @@ def format_matrix(matrix: BinaryMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
-    return out
+def _content_lines(text: str) -> tuple[list[int], list[str]]:
+    """The 1-based numbers and the stripped text of the lines left non-empty
+    once '#' comments are cut, as two parallel lists in file order."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    lines = list(map(str.strip, lines))
+    return list(compress(range(1, len(lines) + 1), lines)), list(compress(lines, lines))
 
 
-def _parse_matrix_lines(lines: list[tuple[int, str]]) -> BinaryMatrix:
+def _parse_matrix_lines(numbers: list[int], lines: list[str]) -> BinaryMatrix:
     if not lines:
         raise MatrixError("empty matrix file")
-    lineno, header = lines[0]
+    header = lines[0]
     parts = header.split()
     # isdecimal: isdigit also takes digits such as '²' that int() rejects
     if len(parts) != 2 or not all(p.isdecimal() for p in parts):
-        raise MatrixError(f"line {lineno}: expected header 'm n', got {header!r}")
+        raise MatrixError(f"line {numbers[0]}: expected header 'm n', got {header!r}")
     m, n = int(parts[0]), int(parts[1])
     if len(lines) - 1 < m:
         raise MatrixError(f"expected {m} matrix rows, found {len(lines) - 1}")
-    # each distinct row text is checked and converted once; a repeat costs
-    # one hash, and the first bad line in file order still raises
-    seen: dict[str, int] = {}
-    masks = []
-    for lineno, line in lines[1:m + 1]:
-        mask = seen.get(line)
-        if mask is None:
-            # int(..., 2) alone would also take '_', '+', spaces and
-            # non-ASCII digits; counting the 0s and 1s rejects them at
-            # under half the cost per character of line.strip("01")
-            if len(line) != n or line.count("0") + line.count("1") != n:
-                raise MatrixError(f"line {lineno}: expected {n} characters over 01, "
-                                  f"got {line!r}")
-            mask = seen[line] = int(line[::-1], 2)
-        masks.append(mask)
-    return BinaryMatrix.from_row_masks(n, masks)
+    # each distinct row text is checked and converted once, in order of first
+    # appearance, so the first bad text met is on the first bad line
+    texts = lines[1:m + 1]
+    table: dict[str, int] = {}
+    for line in dict.fromkeys(texts):
+        # int(..., 2) alone would also take '_', '+', spaces and
+        # non-ASCII digits; counting the 0s and 1s rejects them at
+        # under half the cost per character of line.strip("01")
+        if len(line) != n or line.count("0") + line.count("1") != n:
+            raise MatrixError(f"line {numbers[texts.index(line) + 1]}: expected {n} "
+                              f"characters over 01, got {line!r}")
+        table[line] = int(line[::-1], 2)
+    return BinaryMatrix.from_row_masks(n, map(table.__getitem__, texts))
 
 
 def parse_matrix(text: str) -> BinaryMatrix:
-    lines = _content_lines(text)
-    matrix = _parse_matrix_lines(lines)
+    numbers, lines = _content_lines(text)
+    matrix = _parse_matrix_lines(numbers, lines)
     if len(lines) != matrix.m + 1:
         raise MatrixError("trailing content after the matrix rows")
     return matrix
 
 
 def format_split(split: RowSplit) -> str:
-    body = format_matrix(split.matrix)
-    lines = [
-        f"{i + 1}: " + " ".join(str(j + 1) for j in group)
-        for i, group in enumerate(split.groups)
-    ]
-    return body + "\n" + "\n".join(lines) + "\n"
+    """The split matrix as a matrix file, a blank line, then the group lines;
+    each distinct split row is formatted once."""
+    matrix = split.matrix
+    spec = f"0{matrix.n}b"
+    text = {mask: format(mask, spec)[::-1] for mask in matrix.distinct_row_masks}
+    lines = [f"{matrix.m} {matrix.n}", *map(text.__getitem__, matrix.row_masks), ""]
+    lines += [f"{i}: " + " ".join(map(str, map((1).__add__, group)))
+              for i, group in enumerate(split.groups, start=1)]
+    return "\n".join(lines) + "\n"
 
 
 def parse_split(text: str) -> RowSplit:
-    lines = _content_lines(text)
-    matrix = _parse_matrix_lines(lines)
-    group_lines = lines[matrix.m + 1:]
-    if not group_lines:
+    numbers, lines = _content_lines(text)
+    matrix = _parse_matrix_lines(numbers, lines)
+    start = matrix.m + 1
+    if len(lines) == start:
         raise MatrixError("split file has no group lines")
     groups: dict[int, tuple[int, ...]] = {}
-    for lineno, line in group_lines:
+    for lineno, line in zip(numbers[start:], lines[start:]):
         head, sep, rest = line.partition(":")
         if not sep or not head.strip().isdecimal():
             raise MatrixError(f"line {lineno}: expected 'i: j1 j2 ...', got {line!r}")
@@ -92,10 +94,10 @@ def parse_split(text: str) -> RowSplit:
         if i in groups:
             raise MatrixError(f"line {lineno}: duplicate group for row {i}")
         tokens = rest.split()
-        if not all(tok.isdecimal() for tok in tokens):
+        if tokens and not "".join(tokens).isdecimal():
             raise MatrixError(f"line {lineno}: non-integer split-row index")
-        members = tuple(int(tok) - 1 for tok in tokens)
-        if any(j < 0 for j in members):
+        members = tuple(map((-1).__add__, map(int, tokens)))
+        if -1 in members:
             raise MatrixError(f"line {lineno}: split-row indices are 1-based")
         groups[i] = members
     count = len(groups)

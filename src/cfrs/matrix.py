@@ -140,9 +140,10 @@ class BinaryMatrix:
 
     ``BinaryMatrix(rows)`` takes rows of entries that ``int()`` maps to 0 or
     1; :meth:`from_row_masks` and :meth:`from_col_masks` take bitsets.  The
-    matrix keeps ``row_masks``; ``rows`` (0/1 tuples), ``col_masks`` and
-    ``distinct_row_masks`` are derived on first use, unless
-    ``from_col_masks`` supplied ``col_masks``.
+    matrix keeps ``row_masks`` and ``distinct_row_masks``, the distinct row
+    bitsets in first-appearance order (``row_masks`` itself when no row
+    repeats); ``rows`` (0/1 tuples) and ``col_masks`` are derived on first
+    use, unless ``from_col_masks`` supplied ``col_masks``.
     Equality and hashing are by shape and entries.
     """
 
@@ -167,18 +168,22 @@ class BinaryMatrix:
         self._set(n, tuple(masks))
 
     def _set(self, n: int, masks: tuple[int, ...]) -> None:
-        """Validate row bitsets, then fill the fields."""
+        """Validate row bitsets, then fill the fields.  Each distinct mask is
+        checked once, in order of first appearance, so the first bad mask
+        met is the first bad row."""
         if n < 1 or not masks:
             raise MatrixError("matrix needs at least one row and one column")
+        distinct = tuple(dict.fromkeys(masks))
         union = 0
-        for i, mask in enumerate(masks):
-            if mask < 0:
-                raise MatrixError(f"row {i + 1} contains a non-binary entry")
-            if mask >> n:
-                raise MatrixError(f"row {i + 1} has {mask.bit_length()} entries, "
-                                  f"expected {n}")
-            if not mask:
-                raise MatrixError(f"row {i + 1} is all zeros")
+        for mask in distinct:
+            if mask <= 0 or mask >> n:
+                row = masks.index(mask) + 1
+                if mask < 0:
+                    raise MatrixError(f"row {row} contains a non-binary entry")
+                if mask:
+                    raise MatrixError(f"row {row} has {mask.bit_length()} entries, "
+                                      f"expected {n}")
+                raise MatrixError(f"row {row} is all zeros")
             union |= mask
         missing = ~union & ((1 << n) - 1)
         if missing:
@@ -186,6 +191,8 @@ class BinaryMatrix:
             raise MatrixError(f"column {j + 1} is all zeros")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "row_masks", masks)
+        object.__setattr__(self, "distinct_row_masks",
+                           masks if len(distinct) == len(masks) else distinct)
 
     @classmethod
     def from_row_masks(cls, n: int, masks: Iterable[int]) -> "BinaryMatrix":
@@ -226,13 +233,6 @@ class BinaryMatrix:
     def col_masks(self) -> tuple[int, ...]:
         """Column supports as bitsets over row indices."""
         return transpose(self.row_masks, self.n)
-
-    @cached_property
-    def distinct_row_masks(self) -> tuple[int, ...]:
-        """The distinct row bitsets in first-appearance order; ``row_masks``
-        itself when no row repeats."""
-        distinct = tuple(dict.fromkeys(self.row_masks))
-        return self.row_masks if len(distinct) == self.m else distinct
 
 
 @dataclass(frozen=True)

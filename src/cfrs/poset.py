@@ -41,9 +41,15 @@ def _validated_weights(dag: Dag, weights: Sequence[int]) -> tuple[int, ...]:
 
 
 def is_monotone(dag: Dag, weights: Sequence[int]) -> bool:
-    """True iff weight(u) <= weight(v) for every arc (u, v)."""
+    """True iff weight(u) <= weight(v) for every arc (u, v), i.e. no vertex
+    has an arc to a vertex strictly lighter than itself."""
     w = _validated_weights(dag, weights)
-    return all(w[u] <= w[v] for u in range(dag.n) for v in bits_of(dag.out_masks[u]))
+    lighter: dict[int, int] = {}  # weight -> the vertices strictly lighter
+    below = 0
+    for v in sorted(range(dag.n), key=w.__getitem__):
+        lighter.setdefault(w[v], below)
+        below |= 1 << v
+    return not any(map(int.__and__, dag.out_masks, map(lighter.__getitem__, w)))
 
 
 def is_chain(dag: Dag, seq: Sequence[int]) -> bool:

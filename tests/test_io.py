@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,8 @@ from cfrs import (
     build_phylogeny,
     gen_block_tree,
     identity_split,
+    parse_edge_list,
+    verify_row_split,
 )
 from cfrs.errors import MatrixError
 from cfrs.io import (
@@ -140,3 +143,52 @@ def test_round_trips_keep_repeated_rows():
     back = parse_split(format_split(split))
     assert back.matrix.row_masks == split.matrix.row_masks
     assert back.groups == split.groups
+
+
+# line numbers count every line of the file, comment-only and blank ones too
+@pytest.mark.parametrize("text, message", [
+    ("# only a comment\n\n   \n", "empty matrix file"),
+    ("# c\n\n  # c2\n2 x # trailing\n11\n01\n", "line 4: expected header 'm n', got '2 x'"),
+    ("# c\n2 2 # header\n\n11 # row\n# mid\n\n0x # bad\n",
+     "line 7: expected 2 characters over 01, got '0x'"),
+    ("# c\n3 2\n11\n# gap\n\n01 # row\n", "expected 3 matrix rows, found 2"),
+    ("1 1 # c\n1\n# c\n\nextra # x\n", "trailing content after the matrix rows"),
+])
+def test_matrix_errors_count_comment_and_blank_lines(text, message):
+    with pytest.raises(MatrixError, match=f"^{re.escape(message)}$"):
+        parse_matrix(text)
+
+
+# lines 1-7 hold the split matrix, comments and blanks; group lines start at 8
+SPLIT_HEAD = "# split\n2 2\n11 # r1\n\n01\n# groups\n\n"
+
+
+@pytest.mark.parametrize("groups, message", [
+    ("# none\n\n", "split file has no group lines"),
+    ("1: 1\n# x\n2 2\n", "line 10: expected 'i: j1 j2 ...', got '2 2'"),
+    ("1: 1 # g\n\n1: 2\n", "line 10: duplicate group for row 1"),
+    ("1: 1\n# x\n2: 2 x # y\n", "line 10: non-integer split-row index"),
+    ("1: 1\n\n2: 2 0 # z\n", "line 10: split-row indices are 1-based"),
+    ("1: 1\n# x\n3: 2\n", "group lines must cover rows 1..m exactly once"),
+])
+def test_split_group_errors_count_comment_and_blank_lines(groups, message):
+    with pytest.raises(MatrixError, match=f"^{re.escape(message)}$"):
+        parse_split(SPLIT_HEAD + groups)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# graph\n0 1\n\n# c\n1 2 3 # x\n", "line 5: expected 'u v', got '1 2 3'"),
+    ("0 1\n# c\n\n1 x\n", "line 4: non-integer vertex id"),
+])
+def test_edge_list_errors_count_comment_and_blank_lines(text, message):
+    with pytest.raises(MatrixError, match=f"^{re.escape(message)}$"):
+        parse_edge_list(text)
+
+
+def test_hand_written_split_parses_and_formats_canonically():
+    text = ("# hand-written split of 11 / 01\n3 2\n10 # first\n\n01\n01\n"
+            "# groups out of order, members not contiguous\n2: 2\n1:   3 1 # both\n")
+    split = parse_split(text)
+    assert split.groups == ((2, 0), (1,))
+    assert verify_row_split(NESTED_PAIR, split).ok
+    assert format_split(split) == "3 2\n10\n01\n01\n\n1: 3 1\n2: 2\n"

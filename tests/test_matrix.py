@@ -273,6 +273,13 @@ def test_constructor_accepts_entries_int_maps_to_binary():
     (lambda: BinaryMatrix.from_row_masks(2, (0b11, -1)), "row 2 contains a non-binary entry"),
     (lambda: BinaryMatrix.from_row_masks(2, (0b01, 0)), "row 2 is all zeros"),
     (lambda: BinaryMatrix.from_row_masks(3, (0b001, 0b100)), "column 2 is all zeros"),
+    # repeated rows: each distinct mask is checked once, the first bad row named
+    (lambda: BinaryMatrix.from_row_masks(2, (0b11, 0b01, 0b11, 0b101, 0b101)),
+     "row 4 has 3 entries, expected 2"),
+    (lambda: BinaryMatrix.from_row_masks(2, (0b10, 0b01, 0b10, 0, -1, 0)),
+     "row 4 is all zeros"),
+    (lambda: BinaryMatrix.from_row_masks(2, (0b10, 0b10, -2, 0b01, -2)),
+     "row 3 contains a non-binary entry"),
     (lambda: BinaryMatrix.from_row_masks(0, ()), "at least one row and one column"),
     (lambda: BinaryMatrix.from_col_masks(2, (0b11, 0b00)), "column 2 is all zeros"),
     (lambda: BinaryMatrix.from_col_masks(3, (0b011,)), "row 3 is all zeros"),

@@ -118,6 +118,23 @@ def test_monotonicity_check():
         min_price_chain_partition(GAP_DAG, [1, 2, 3, -1])
 
 
+def test_is_monotone_matches_the_per_arc_definition():
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(300):
+        dag = random_dag(rng, max_vertices=12)
+        for weights in ([rng.randint(0, 4) for _ in range(dag.n)],
+                        random_monotone_weights(rng, dag, high=4)):
+            expected = all(weights[u] <= weights[v] for u, v in dag.arcs)
+            assert is_monotone(dag, weights) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+    with pytest.raises(ValueError, match="weights must be non-negative integers"):
+        is_monotone(GAP_DAG, [1, 2, 3, -1])
+    with pytest.raises(ValueError, match="expected 4 weights, got 3"):
+        is_monotone(GAP_DAG, [1, 2, 3])
+
+
 def test_min_price_constant_weights_recover_minimum_size():
     rng = random.Random(5)
     for _ in range(30):
