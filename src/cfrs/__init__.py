@@ -16,11 +16,8 @@ from .branching import (
     branching_state_count,
     exact_min_irreducible,
     exact_min_uncovered,
-    irreducible_vertices,
     linear_from_chains,
     split_to_branching,
-    uncovered_pairs,
-    validate_branching,
 )
 from .containment import (
     ContainmentDigraph,
@@ -48,16 +45,12 @@ from .matrix import (
     RowSplit,
     Verdict,
     build_phylogeny,
-    column_support,
-    count_distinct_cols,
     count_distinct_rows,
     find_conflict,
-    identity_split,
     reduce_columns,
     verify_row_split,
 )
 from .poset import (
-    dilworth_partition,
     evaluate,
     is_antichain,
     is_chain,
@@ -87,15 +80,13 @@ __all__ = [
     "SolveReport", "Verdict",
     "approx_distinct_2", "approx_height", "approx_width", "branching_split",
     "branching_state_count", "brute_force_vertex_cover", "build_containment",
-    "build_phylogeny", "column_support", "count_distinct_cols",
-    "count_distinct_rows", "dilworth_partition", "evaluate",
+    "build_phylogeny", "count_distinct_rows", "evaluate",
     "exact_min_irreducible", "exact_min_uncovered", "find_conflict",
     "gen_block_tree", "gen_ib_reduction", "gen_random", "gen_random_laminar",
-    "gen_vc_reduction", "height", "identity_split", "irreducible_vertices",
+    "gen_vc_reduction", "height",
     "is_antichain", "is_chain", "is_chain_partition", "is_monotone",
     "is_tower", "linear_from_chains", "maximum_antichain",
     "min_price_chain_partition", "parse_edge_list", "partition_price",
     "reduce_columns", "solve_exact", "solve_linear_heuristic",
-    "split_to_branching", "tower_value", "uncovered_pairs",
-    "validate_branching", "verify_row_split", "width",
+    "split_to_branching", "tower_value", "verify_row_split", "width",
 ]

@@ -16,10 +16,8 @@ from typing import Callable, Optional, Sequence
 from .containment import ContainmentDigraph, Dag
 from .errors import BudgetError, InternalError, MatrixError
 from .matrix import (
-    ACCEPT,
     BinaryMatrix,
     RowSplit,
-    Verdict,
     _distinct_supports,
     _laminar_tree,
     bits_of,
@@ -42,34 +40,9 @@ class Branching:
     def k(self) -> int:
         return len(self.choice)
 
-    def arcs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((u, v) for u, v in enumerate(self.choice) if v is not None)
-
     @classmethod
     def empty(cls, k: int) -> "Branching":
         return cls((None,) * k)
-
-    @classmethod
-    def from_arcs(cls, k: int, arcs) -> "Branching":
-        choice: list[Optional[int]] = [None] * k
-        for u, v in arcs:
-            if not (0 <= u < k and 0 <= v < k):
-                raise ValueError(f"arc ({u},{v}) is out of range")
-            if choice[u] is not None:
-                raise ValueError(f"vertex {u} has two outgoing arcs")
-            choice[u] = v
-        return cls(tuple(choice))
-
-
-def validate_branching(digraph: Dag, branching: Branching) -> Verdict:
-    """Accept iff every chosen arc exists in the digraph."""
-    if branching.k != digraph.n:
-        return Verdict(False, f"branching covers {branching.k} vertices, "
-                              f"digraph has {digraph.n}")
-    for u, v in enumerate(branching.choice):
-        if v is not None and not digraph.is_arc(u, v):
-            return Verdict(False, f"({u},{v}) is not an arc of the digraph")
-    return ACCEPT
 
 
 def _uncovered(supports: Sequence[int], choice: Sequence[Optional[int]]) -> list[int]:
@@ -82,35 +55,13 @@ def _uncovered(supports: Sequence[int], choice: Sequence[Optional[int]]) -> list
 
 
 def _checked(digraph: Dag, branching: Branching) -> None:
-    verdict = validate_branching(digraph, branching)
-    if not verdict:
-        raise ValueError(f"invalid branching: {verdict.reason}")
-
-
-def _uncovered_by_row(digraph: ContainmentDigraph,
-                      branching: Branching) -> tuple[int, ...]:
-    """For each row, the bitset of the vertices that keep it uncovered."""
-    _checked(digraph, branching)
-    return transpose(_uncovered(digraph.supports, branching.choice), digraph.n_rows)
-
-
-def uncovered_pairs(digraph: ContainmentDigraph,
-                    branching: Branching) -> tuple[tuple[int, int], ...]:
-    """Pairs (row, vertex) with the row in the vertex's support but not in
-    the union of its chosen in-neighbors, sorted by (row, vertex)."""
-    return tuple(
-        (r, v)
-        for r, vertices in enumerate(_uncovered_by_row(digraph, branching))
-        for v in bits_of(vertices)
-    )
-
-
-def irreducible_vertices(digraph: ContainmentDigraph,
-                         branching: Branching) -> frozenset[int]:
-    """Vertices keeping at least one uncovered row."""
-    _checked(digraph, branching)
-    uncovered = _uncovered(digraph.supports, branching.choice)
-    return frozenset(v for v, mask in enumerate(uncovered) if mask)
+    """Raise ValueError unless every chosen arc exists in the digraph."""
+    if branching.k != digraph.n:
+        raise ValueError(f"invalid branching: branching covers {branching.k} "
+                         f"vertices, digraph has {digraph.n}")
+    for u, v in enumerate(branching.choice):
+        if v is not None and not digraph.is_arc(u, v):
+            raise ValueError(f"invalid branching: ({u},{v}) is not an arc of the digraph")
 
 
 def branching_split(matrix: BinaryMatrix, branching: Branching,
@@ -125,11 +76,13 @@ def branching_split(matrix: BinaryMatrix, branching: Branching,
     """
     if digraph.n_rows != matrix.m or len(digraph.class_of) != matrix.n:
         raise ValueError("digraph does not belong to this matrix")
-    by_row = _uncovered_by_row(digraph, branching)
+    _checked(digraph, branching)
+    supports = digraph.supports
+    # for each row, the bitset of the vertices that keep it uncovered
+    by_row = transpose(_uncovered(supports, branching.choice), digraph.n_rows)
     # column mask of everything reachable along the branching, incl. v
     # itself; choice targets have strictly larger supports, so fill the
     # memo by decreasing support size
-    supports = digraph.supports
     reach_cols = list(transpose([1 << v for v in digraph.class_of], digraph.n))
     for v in sorted(range(digraph.n), key=lambda u: supports[u].bit_count(), reverse=True):
         nxt = branching.choice[v]

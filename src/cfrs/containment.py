@@ -52,9 +52,6 @@ class Dag:
     def out(self, v: int) -> tuple[int, ...]:
         return tuple(select(self._vertices, self.out_masks[v]))
 
-    def in_(self, v: int) -> tuple[int, ...]:
-        return tuple(select(self._vertices, self.in_masks[v]))
-
     def is_arc(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and 0 <= v < self.n and bool(self.out_masks[u] >> v & 1)
 
@@ -131,9 +128,6 @@ class ContainmentDigraph(Dag):
         self.supports = tuple(supports)
         self.n_rows = n_rows
         self.class_of = tuple(class_of)
-
-    def support_set(self, v: int) -> frozenset[int]:
-        return frozenset(bits_of(self.supports[v]))
 
 
 def build_containment(matrix: BinaryMatrix) -> ContainmentDigraph:

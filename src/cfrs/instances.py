@@ -182,7 +182,10 @@ def gen_random_laminar(m: int, k: int, seed: int) -> BinaryMatrix:
     Builds a random full binary split tree over the rows (2m-1 laminar
     blocks in total) and keeps the root plus k-1 random other blocks, so
     every row stays covered.  A laminar family of distinct nonempty sets
-    over m rows has at most 2m-1 members, hence the cap on k.
+    over m rows has at most 2m-1 members, hence the cap on k.  The tree is
+    built whatever k is, and its blocks hold about 2 m ln m row ids (a
+    uniform random cut puts a row at depth about 2 ln m), so the size cap
+    bounds m x 2 * bit length of m cells as well as the m x k matrix.
     """
     if m < 1:
         raise ValueError("need at least one row")
@@ -192,6 +195,9 @@ def gen_random_laminar(m: int, k: int, seed: int) -> BinaryMatrix:
             f"nonempty supports; got k={k}"
         )
     _check_cells(m, k)
+    if m * 2 * m.bit_length() > MAX_GENERATED_CELLS:
+        raise ValueError(f"a split tree over {m} rows exceeds the size cap of "
+                         f"{MAX_GENERATED_CELLS} cells")
     rng = random.Random(seed)
     blocks: list[tuple[int, ...]] = []
     stack: list[tuple[int, ...]] = [tuple(range(m))]

@@ -328,13 +328,6 @@ def find_conflict(matrix: BinaryMatrix) -> Optional[ConflictWitness]:
     return None
 
 
-def column_support(matrix: BinaryMatrix, col: int) -> frozenset[int]:
-    """Row indices holding a 1 in the given column."""
-    if not 0 <= col < matrix.n:
-        raise ValueError(f"unknown column index {col}")
-    return frozenset(bits_of(matrix.col_masks[col]))
-
-
 def reduce_columns(matrix: BinaryMatrix) -> ColumnReduction:
     """Collapse identical columns, keeping the first occurrence of each; a
     matrix whose columns are already distinct is its own reduction."""
@@ -353,15 +346,6 @@ def reduce_columns(matrix: BinaryMatrix) -> ColumnReduction:
 
 def count_distinct_rows(matrix: BinaryMatrix) -> int:
     return len(matrix.distinct_row_masks)
-
-
-def count_distinct_cols(matrix: BinaryMatrix) -> int:
-    return len(set(matrix.col_masks))
-
-
-def identity_split(matrix: BinaryMatrix) -> RowSplit:
-    """The trivial split of a matrix into itself, one singleton group per row."""
-    return RowSplit(matrix, tuple((i,) for i in range(matrix.m)))
 
 
 def verify_row_split(source: BinaryMatrix, candidate: RowSplit) -> Verdict:
@@ -420,9 +404,6 @@ class PhyloTree:
     @property
     def k(self) -> int:
         return len(self.node_masks) - 1
-
-    def support_set(self, node: int) -> frozenset[int]:
-        return frozenset(bits_of(self.node_masks[node]))
 
 
 def _laminar_tree(supports: Sequence[int], m: int) -> Optional[tuple]:

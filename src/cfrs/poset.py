@@ -88,13 +88,6 @@ def evaluate(partition, tower, weights) -> tuple[int, int]:
     return partition_price(partition, weights), tower_value(tower, weights)
 
 
-def _grown(dag: Dag) -> LiveMatching:
-    live = LiveMatching(dag.reach, dag.n)
-    for v in reversed(dag.topological_order):
-        live.augment(v)
-    return live
-
-
 def _chains(live: LiveMatching) -> ChainPartition:
     """The chains of a matching on the split of a DAG's closure, sorted:
     each starts at a vertex whose right copy is free and follows partners."""
@@ -108,18 +101,12 @@ def _chains(live: LiveMatching) -> ChainPartition:
     return tuple(sorted(chains))
 
 
-def dilworth_partition(dag: Dag) -> ChainPartition:
-    """A chain partition of minimum size, i.e. of exactly width(D) chains.
-
-    Uses Fulkerson's reduction: a maximum matching on the bipartite split of
-    the transitive closure, chains assembled from matched pairs.
-    """
-    return _chains(_grown(dag))
-
-
 def maximum_antichain(dag: Dag) -> Antichain:
     """An antichain of maximum cardinality, from a Koenig vertex cover."""
-    return frozenset(bits_of(_grown(dag).antichain()))
+    live = LiveMatching(dag.reach, dag.n)
+    for v in reversed(dag.topological_order):
+        live.augment(v)
+    return frozenset(bits_of(live.antichain()))
 
 
 def min_price_chain_partition(

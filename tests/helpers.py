@@ -21,7 +21,7 @@ from cfrs import (
     verify_row_split,
 )
 from cfrs.errors import BudgetError, InternalError, MatrixError
-from cfrs.matching import LiveMatching
+from cfrs.matching import LiveMatching, maximum_bipartite_matching
 from cfrs.matrix import ConflictWitness, RowSplit, bits_of, mask_of, select, transpose
 from cfrs.poset import _validated_weights, evaluate, is_chain_partition, is_monotone
 
@@ -93,7 +93,7 @@ def random_monotone_weights(rng: random.Random, dag: Dag,
                             high: int = 20) -> list[int]:
     weights = [rng.randint(0, high) for _ in range(dag.n)]
     for v in dag.topological_order:
-        for u in dag.in_(v):
+        for u in bits_of(dag.in_masks[v]):
             weights[v] = max(weights[v], weights[u])
     return weights
 
@@ -144,6 +144,71 @@ def with_last_pair_crossing(matrix: BinaryMatrix) -> BinaryMatrix:
     zeros = (0,) * matrix.n
     rows += [zeros + (1, 0), zeros + (1, 1), zeros + (0, 1)]
     return BinaryMatrix(tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# Small library-shaped helpers the tests build on, written independently of
+# the package's own code paths
+
+
+def column_support(matrix: BinaryMatrix, col: int) -> frozenset[int]:
+    """Row indices holding a 1 in the given column, read off the 0/1 rows."""
+    if not 0 <= col < matrix.n:
+        raise ValueError(f"unknown column index {col}")
+    return frozenset(i for i, row in enumerate(matrix.rows) if row[col])
+
+
+def count_distinct_cols(matrix: BinaryMatrix) -> int:
+    return len(set(zip(*matrix.rows)))
+
+
+def identity_split(matrix: BinaryMatrix) -> RowSplit:
+    """The trivial split of a matrix into itself, one singleton group per row."""
+    return RowSplit(matrix, tuple((i,) for i in range(matrix.m)))
+
+
+def branching_from_arcs(k: int, arcs) -> Branching:
+    """The branching on k vertices choosing the given arcs."""
+    choice: list = [None] * k
+    for u, v in arcs:
+        if choice[u] is not None:
+            raise ValueError(f"vertex {u} has two outgoing arcs")
+        choice[u] = v
+    return Branching(tuple(choice))
+
+
+def uncovered_pairs(digraph: ContainmentDigraph, branching: Branching):
+    """Pairs (row, vertex) with the row in the vertex's support but in no
+    chosen in-neighbor's, sorted by (row, vertex)."""
+    supports = digraph.supports
+    covers = [0] * digraph.n
+    for u, v in enumerate(branching.choice):
+        if v is not None:
+            covers[v] |= supports[u]
+    return tuple(sorted((r, v) for v in range(digraph.n)
+                        for r in bits_of(supports[v] & ~covers[v])))
+
+
+def irreducible_vertices(digraph: ContainmentDigraph, branching: Branching) -> frozenset[int]:
+    """Vertices keeping at least one uncovered row."""
+    return frozenset(v for _, v in uncovered_pairs(digraph, branching))
+
+
+def _walk(v, step):
+    path = [v]
+    while step[path[-1]] is not None:
+        path.append(step[path[-1]])
+    return path
+
+
+def dilworth_partition(dag: Dag) -> tuple[tuple[int, ...], ...]:
+    """A chain partition of exactly width(D) chains, sorted (Fulkerson): a
+    maximum matching on the bipartite split of the closure, each chain
+    starting at a vertex whose right copy is free and following partners."""
+    match_left, match_right = maximum_bipartite_matching(
+        [list(bits_of(reach)) for reach in dag.reach], dag.n)
+    return tuple(sorted(tuple(_walk(v, match_left))
+                        for v, head in enumerate(match_right) if head is None))
 
 
 # ---------------------------------------------------------------------------
@@ -719,13 +784,6 @@ def reference_maximum_antichain(dag: Dag) -> frozenset[int]:
     for v in reversed(dag.topological_order):
         live.augment(v)
     return frozenset(bits_of(reference_koenig_antichain(live)))
-
-
-def _walk(v, step):
-    path = [v]
-    while step[path[-1]] is not None:
-        path.append(step[path[-1]])
-    return path
 
 
 def reference_min_price_chain_partition(dag: Dag, weights):

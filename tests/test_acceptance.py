@@ -14,7 +14,6 @@ from cfrs import (
     branching_state_count,
     brute_force_vertex_cover,
     build_containment,
-    count_distinct_cols,
     count_distinct_rows,
     evaluate,
     exact_min_irreducible,
@@ -23,12 +22,10 @@ from cfrs import (
     gen_block_tree,
     gen_ib_reduction,
     gen_vc_reduction,
-    irreducible_vertices,
     min_price_chain_partition,
     solve_exact,
     solve_linear_heuristic,
     split_to_branching,
-    uncovered_pairs,
     verify_row_split,
     width,
 )
@@ -39,8 +36,10 @@ from tests.helpers import (
     GAP_DAG,
     brute_force_max_tower,
     brute_force_min_price,
+    count_distinct_cols,
     duplicate_column,
     gap_weights,
+    irreducible_vertices,
     iter_branchings,
     k4,
     k33,
@@ -49,6 +48,7 @@ from tests.helpers import (
     random_corpus,
     random_dag,
     random_monotone_weights,
+    uncovered_pairs,
 )
 
 CORPUS = random_corpus(500, max_side=6, seed=2024)

@@ -17,22 +17,17 @@ from cfrs import (
     branching_state_count,
     build_containment,
     count_distinct_rows,
-    dilworth_partition,
     exact_min_irreducible,
     exact_min_uncovered,
     gen_block_tree,
     gen_ib_reduction,
     gen_random_laminar,
     gen_vc_reduction,
-    irreducible_vertices,
     linear_from_chains,
     solve_linear_heuristic,
     split_to_branching,
-    uncovered_pairs,
-    validate_branching,
     verify_row_split,
 )
-from cfrs import identity_split
 from cfrs.branching import _decision_order
 from cfrs.matrix import MatrixError, RowSplit
 from cfrs.poset import partition_price
@@ -40,9 +35,13 @@ from cfrs.poset import partition_price
 from tests.helpers import (
     CROSSING_PAIR,
     NESTED_PAIR,
+    branching_from_arcs,
     chains_from_linear,
     differential_corpus,
+    dilworth_partition,
     duplicate_column,
+    identity_split,
+    irreducible_vertices,
     iter_branchings,
     k33,
     k4,
@@ -57,6 +56,7 @@ from tests.helpers import (
     reference_exact_minimize,
     reference_first_conflict,
     reference_split_to_branching,
+    uncovered_pairs,
     with_repeated_split_rows,
 )
 
@@ -69,17 +69,28 @@ def enumerable(digraph, cap=1500):
 
 
 def test_validate_branching():
-    assert validate_branching(D_CROSS, Branching.empty(2)).ok
-    bad = validate_branching(D_CROSS, Branching.from_arcs(2, [(0, 1)]))
-    assert not bad.ok and "(0,1)" in bad.reason
-    chains = dilworth_partition(build_containment(gen_block_tree(2, 3)))
-    d = build_containment(gen_block_tree(2, 3))
-    assert validate_branching(d, linear_from_chains(chains)).ok
+    split = branching_split(CROSSING_PAIR, Branching.empty(2), D_CROSS)
+    assert verify_row_split(CROSSING_PAIR, split).ok
+    matrix = gen_block_tree(2, 3)
+    d = build_containment(matrix)
+    chains = dilworth_partition(d)
+    split = branching_split(matrix, linear_from_chains(chains), d)
+    assert verify_row_split(matrix, split).ok
+
+
+def test_branching_split_rejects_invalid_branchings():
+    with pytest.raises(ValueError) as wrong_length:
+        branching_split(CROSSING_PAIR, Branching.empty(1), D_CROSS)
+    assert str(wrong_length.value) == \
+        "invalid branching: branching covers 1 vertices, digraph has 2"
+    with pytest.raises(ValueError) as non_arc:
+        branching_split(CROSSING_PAIR, branching_from_arcs(2, [(0, 1)]), D_CROSS)
+    assert str(non_arc.value) == "invalid branching: (0,1) is not an arc of the digraph"
 
 
 def test_branching_encoding_rejects_double_tail():
     with pytest.raises(ValueError):
-        Branching.from_arcs(3, [(0, 1), (0, 2)])
+        branching_from_arcs(3, [(0, 1), (0, 2)])
 
 
 def test_uncovered_and_irreducible_empty_branching():
@@ -89,7 +100,7 @@ def test_uncovered_and_irreducible_empty_branching():
 
 
 def test_uncovered_nested_with_arc():
-    b = Branching.from_arcs(2, [(0, 1)])
+    b = branching_from_arcs(2, [(0, 1)])
     assert uncovered_pairs(D_NEST, b) == ((0, 0), (1, 1))
     assert irreducible_vertices(D_NEST, b) == {0, 1}
 
@@ -97,13 +108,13 @@ def test_uncovered_nested_with_arc():
 def test_uncovered_block_tree_optimal_branching():
     d = build_containment(gen_block_tree(3, 3))
     b = Branching(tuple(9 + v // 3 for v in range(9)) + (12, 12, 12) + (None,))
-    assert validate_branching(d, b).ok
+    assert all(v is None or d.is_arc(u, v) for u, v in enumerate(b.choice))
     assert len(uncovered_pairs(d, b)) == 9
     assert irreducible_vertices(d, b) == frozenset(range(9))
 
 
 def test_branching_split_nested_examples():
-    b = Branching.from_arcs(2, [(0, 1)])
+    b = branching_from_arcs(2, [(0, 1)])
     split = branching_split(NESTED_PAIR, b, build_containment(NESTED_PAIR))
     assert split.matrix.rows == NESTED_PAIR.rows
     assert split.groups == ((0,), (1,))
@@ -380,13 +391,13 @@ def test_branching_self_checks_survive_python_optimize(tmp_path):
     script = "\n".join((
         "import sys",
         "import cfrs.branching",
-        "from cfrs import InternalError, identity_split, split_to_branching",
+        "from cfrs import InternalError, RowSplit, split_to_branching",
         "from cfrs.io import parse_matrix",
         "print('debug:', __debug__)",
         "cfrs.branching._laminar_tree = lambda supports, m: None",
         "matrix = parse_matrix(open(sys.argv[1]).read())",
         "try:",
-        "    split_to_branching(matrix, identity_split(matrix))",
+        "    split_to_branching(matrix, RowSplit(matrix, ((0,), (1,), (2,))))",
         "except InternalError as exc:",
         "    print('raised:', exc)",
     ))

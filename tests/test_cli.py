@@ -6,9 +6,9 @@ import pytest
 
 from cfrs.cli import main
 from cfrs.io import format_matrix, format_split
-from cfrs import branching_state_count, build_containment, gen_block_tree, identity_split
+from cfrs import branching_state_count, build_containment, gen_block_tree
 
-from tests.helpers import CROSSING_PAIR, k4
+from tests.helpers import CROSSING_PAIR, identity_split, k4
 
 
 @pytest.fixture

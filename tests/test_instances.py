@@ -7,7 +7,6 @@ from cfrs import (
     CubicGraph,
     build_containment,
     brute_force_vertex_cover,
-    count_distinct_cols,
     exact_min_irreducible,
     exact_min_uncovered,
     find_conflict,
@@ -21,7 +20,7 @@ from cfrs import (
 )
 from cfrs import instances
 
-from tests.helpers import k4, k33, q3
+from tests.helpers import count_distinct_cols, k4, k33, q3
 
 
 def test_block_tree_shapes():
@@ -162,6 +161,10 @@ def test_generators_refuse_over_the_size_cap_before_building(monkeypatch):
         lambda: gen_random(10**5, 10**5, 0.5, 0),
         lambda: gen_random_laminar(1001, 1999, 0),  # 2,000,999 cells
         lambda: gen_random_laminar(10**6, 10**6, 0),
+        # k = 1 keeps the matrix small, but the split tree is built over
+        # every row whatever k is
+        lambda: gen_random_laminar(100_000, 1, 0),
+        lambda: gen_random_laminar(2_000_000, 1, 0),
     ]
     start = time.perf_counter()
     for make in over:

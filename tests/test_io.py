@@ -8,7 +8,6 @@ from cfrs import (
     build_containment,
     build_phylogeny,
     gen_block_tree,
-    identity_split,
     parse_edge_list,
     verify_row_split,
 )
@@ -22,7 +21,13 @@ from cfrs.io import (
     phylo_to_dot,
 )
 
-from tests.helpers import CROSSING_PAIR, NESTED_PAIR, nested_prefix, with_repeated_rows
+from tests.helpers import (
+    CROSSING_PAIR,
+    NESTED_PAIR,
+    identity_split,
+    nested_prefix,
+    with_repeated_rows,
+)
 
 
 def test_matrix_round_trip():

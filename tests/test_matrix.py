@@ -12,13 +12,10 @@ from cfrs import (
     InternalError,
     MatrixError,
     build_phylogeny,
-    column_support,
-    count_distinct_cols,
     count_distinct_rows,
     find_conflict,
     gen_block_tree,
     gen_random_laminar,
-    identity_split,
     reduce_columns,
     verify_row_split,
 )
@@ -37,8 +34,11 @@ from tests.helpers import (
     CROSSING_PAIR,
     IDENTITY_2,
     NESTED_PAIR,
+    column_support,
+    count_distinct_cols,
     differential_corpus,
     duplicate_column,
+    identity_split,
     is_laminar,
     nested_prefix,
     oracle_has_conflict,
@@ -179,8 +179,8 @@ def test_phylogeny_identity():
 def test_phylogeny_chain():
     tree = build_phylogeny(NESTED_PAIR)
     # root <- {r1,r2} <- {r1}
-    assert tree.support_set(1) == {0}
-    assert tree.support_set(2) == {0, 1}
+    assert set(bits_of(tree.node_masks[1])) == {0}
+    assert set(bits_of(tree.node_masks[2])) == {0, 1}
     assert tree.parent == (None, 2, 0)
     assert tree.row_node == (1, 2)
 

@@ -7,7 +7,6 @@ from cfrs import (
     BudgetError,
     Dag,
     build_containment,
-    dilworth_partition,
     evaluate,
     gen_block_tree,
     gen_random,
@@ -30,6 +29,7 @@ from tests.helpers import (
     GAP_DAG,
     brute_force_max_tower,
     brute_force_min_price,
+    dilworth_partition,
     gap_weights,
     nested_prefix,
     oracle_max_antichain_size,

@@ -12,7 +12,6 @@ from cfrs import (
     approx_width,
     branching_state_count,
     build_containment,
-    count_distinct_cols,
     find_conflict,
     gen_block_tree,
     solve_exact,
@@ -24,7 +23,14 @@ from cfrs.errors import BudgetError, InternalError
 from cfrs.io import format_matrix
 from cfrs.matrix import Verdict
 
-from tests.helpers import CROSSING_PAIR, IDENTITY_2, NESTED_PAIR, duplicate_column, random_corpus
+from tests.helpers import (
+    CROSSING_PAIR,
+    IDENTITY_2,
+    NESTED_PAIR,
+    count_distinct_cols,
+    duplicate_column,
+    random_corpus,
+)
 
 ALL_SOLVERS = (
     lambda m: solve_exact(m, "rows"),
