@@ -42,10 +42,6 @@ class Dag:
         return transpose(self.out_masks, self.n)
 
     @cached_property
-    def arcs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u in range(self.n) for v in self.out(u))
-
-    @cached_property
     def _vertices(self) -> list[int]:
         return list(range(self.n))
 

@@ -401,10 +401,6 @@ class PhyloTree:
     parent: tuple[Optional[int], ...]
     row_node: tuple[int, ...]
 
-    @property
-    def k(self) -> int:
-        return len(self.node_masks) - 1
-
 
 def _laminar_tree(supports: Sequence[int], m: int) -> Optional[tuple]:
     """The sweep of :func:`build_phylogeny` over nonempty supports of m rows:

@@ -1,8 +1,7 @@
-"""End-user pipelines: exact, heuristic, and approximation solvers.
-
-Every solver returns a verified conflict-free row split plus a report with
-the instance statistics (height, width, distinct columns) so the
-approximation guarantees are self-documenting:
+"""End-user solvers: each method is a branching chosen on the containment
+digraph, fed to one pipeline that splits, verifies, checks the counts the
+method claimed and reports the instance statistics (height, width, distinct
+columns), so the approximation guarantees are self-documenting:
 
 * ``exact-rows`` / ``exact-distinct``: budgeted exhaustive search over
   branchings, globally optimal.
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Callable, Optional
 
 from .branching import (
     DEFAULT_BUDGET,
@@ -69,40 +68,57 @@ class SolveReport:
                 if f.name != "elapsed_seconds"}
 
 
-def _report(method: str, matrix: BinaryMatrix, digraph: ContainmentDigraph,
-            split: RowSplit, started: float, beta_lower_bound: Optional[int] = None,
-            tower_value: Optional[int] = None, dag_width: Optional[int] = None
-            ) -> SolveReport:
+def _solve(matrix: BinaryMatrix, method: str,
+           choose: Callable) -> tuple[RowSplit, SolveReport]:
+    # choose(digraph) returns a branching and the SolveReport fields that
+    # its search has proved
+    started = time.perf_counter()
+    digraph = build_containment(matrix)
+    branching, claims = choose(digraph)
+    split = branching_split(matrix, branching, digraph)
     verdict = verify_row_split(matrix, split)
     if not verdict.ok:
         raise InternalError(f"solver produced an invalid split: {verdict.reason}")
-    return SolveReport(
-        method=method,
-        rows=split.matrix.m,
-        distinct_rows=count_distinct_rows(split.matrix),
-        beta_lower_bound=matrix.m if beta_lower_bound is None else beta_lower_bound,
-        tower_value=tower_value,
-        height=height(digraph),
-        width=width(digraph) if dag_width is None else dag_width,
-        k=digraph.n,
-        elapsed_seconds=time.perf_counter() - started,
-    )
+    counts = {"rows": split.matrix.m, "distinct_rows": count_distinct_rows(split.matrix)}
+    for name, got in counts.items():
+        if claims.get(name, got) != got:
+            raise InternalError(f"{method} split has {got} {name}, "
+                                f"its search claimed {claims[name]}")
+    report = {"beta_lower_bound": matrix.m, "tower_value": None, **counts, **claims}
+    if "width" not in report:
+        report["width"] = width(digraph)
+    return split, SolveReport(method=method, height=height(digraph), k=digraph.n,
+                              elapsed_seconds=time.perf_counter() - started, **report)
 
 
-def _linear_pipeline(matrix: BinaryMatrix, method: str):
-    started = time.perf_counter()
-    digraph = build_containment(matrix)
+def _min_price_chains(digraph: ContainmentDigraph) -> tuple[Branching, dict]:
     sizes = [s.bit_count() for s in digraph.supports]
     partition, _ = min_price_chain_partition(digraph, sizes)
-    split = branching_split(matrix, linear_from_chains(partition), digraph)
     # min_price_chain_partition has checked that the tower's value is this
     # price, and a minimum-price partition has exactly width(D) chains
     price = partition_price(partition, sizes)
-    report = _report(method, matrix, digraph, split, started, tower_value=price,
-                     dag_width=len(partition))
-    if report.rows != price:
-        raise InternalError(f"linear split has {report.rows} rows, price {price}")
-    return split, report
+    return linear_from_chains(partition), {"rows": price, "tower_value": price,
+                                           "width": len(partition)}
+
+
+def _empty(digraph: ContainmentDigraph) -> tuple[Branching, dict]:
+    # one split row per (row, support) incidence, holding the support's
+    # columns: the singleton split of the reduced matrix, re-expanded
+    return Branching.empty(digraph.n), {}
+
+
+def _exact(objective: str, budget: int) -> Callable:
+    if objective == "rows":
+        def choose(digraph):
+            branching, rows = exact_min_uncovered(digraph, budget)
+            return branching, {"rows": rows, "beta_lower_bound": rows}
+    elif objective == "distinct":
+        def choose(digraph):
+            branching, distinct_rows = exact_min_irreducible(digraph, budget)
+            return branching, {"distinct_rows": distinct_rows}
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    return choose
 
 
 def solve_linear_heuristic(matrix: BinaryMatrix) -> tuple[RowSplit, SolveReport]:
@@ -113,7 +129,7 @@ def solve_linear_heuristic(matrix: BinaryMatrix) -> tuple[RowSplit, SolveReport]
     achievable by any disjoint-paths branching, and the report's tower value
     certifies it.
     """
-    return _linear_pipeline(matrix, "linear")
+    return _solve(matrix, "linear", _min_price_chains)
 
 
 def solve_exact(matrix: BinaryMatrix, objective: str = "rows",
@@ -124,32 +140,7 @@ def solve_exact(matrix: BinaryMatrix, objective: str = "rows",
     distinct-row count).  Raises BudgetError when the branching count
     exceeds the budget.
     """
-    if objective not in ("rows", "distinct"):
-        raise ValueError(f"unknown objective {objective!r}")
-    started = time.perf_counter()
-    digraph = build_containment(matrix)
-    if objective == "rows":
-        branching, value = exact_min_uncovered(digraph, budget)
-        method, bound = "exact-rows", value
-    else:
-        branching, value = exact_min_irreducible(digraph, budget)
-        method, bound = "exact-distinct", None
-    split = branching_split(matrix, branching, digraph)
-    report = _report(method, matrix, digraph, split, started, beta_lower_bound=bound)
-    got = report.rows if objective == "rows" else report.distinct_rows
-    if got != value:
-        raise InternalError(f"exact {objective} split has {got}, search found {value}")
-    return split, report
-
-
-def _empty_branching_split(matrix: BinaryMatrix,
-                           method: str) -> tuple[RowSplit, SolveReport]:
-    # one split row per (row, support) incidence, holding the support's
-    # columns: the singleton split of the reduced matrix, re-expanded
-    started = time.perf_counter()
-    digraph = build_containment(matrix)
-    split = branching_split(matrix, Branching.empty(digraph.n), digraph)
-    return split, _report(method, matrix, digraph, split, started)
+    return _solve(matrix, f"exact-{objective}", _exact(objective, budget))
 
 
 def approx_distinct_2(matrix: BinaryMatrix) -> tuple[RowSplit, SolveReport]:
@@ -160,7 +151,7 @@ def approx_distinct_2(matrix: BinaryMatrix) -> tuple[RowSplit, SolveReport]:
     The distinct-row optimum is at least k/2, which gives the factor-2
     guarantee.
     """
-    return _empty_branching_split(matrix, "distinct-2")
+    return _solve(matrix, "distinct-2", _empty)
 
 
 def approx_height(matrix: BinaryMatrix) -> tuple[RowSplit, SolveReport]:
@@ -169,7 +160,7 @@ def approx_height(matrix: BinaryMatrix) -> tuple[RowSplit, SolveReport]:
     Produces one row per (row, support) incidence, so the row count is the
     sum of the support sizes.
     """
-    return _empty_branching_split(matrix, "height")
+    return _solve(matrix, "height", _empty)
 
 
 def approx_width(matrix: BinaryMatrix) -> tuple[RowSplit, SolveReport]:
@@ -179,4 +170,4 @@ def approx_width(matrix: BinaryMatrix) -> tuple[RowSplit, SolveReport]:
     Uses the minimum-price width-size partition, which can only improve on
     an arbitrary one while keeping the guarantee.
     """
-    return _linear_pipeline(matrix, "width")
+    return _solve(matrix, "width", _min_price_chains)

@@ -14,6 +14,7 @@ from cfrs import (
     ContainmentDigraph,
     CubicGraph,
     Dag,
+    PhyloTree,
     gen_block_tree,
     gen_random,
     gen_random_laminar,
@@ -160,6 +161,16 @@ def column_support(matrix: BinaryMatrix, col: int) -> frozenset[int]:
 
 def count_distinct_cols(matrix: BinaryMatrix) -> int:
     return len(set(zip(*matrix.rows)))
+
+
+def dag_arcs(dag: Dag) -> frozenset[tuple[int, int]]:
+    """The arcs (u, v) of a DAG, read off its out-neighbour bitsets."""
+    return frozenset((u, v) for u in range(dag.n) for v in bits_of(dag.out_masks[u]))
+
+
+def tree_k(tree: PhyloTree) -> int:
+    """The number of distinct supports in a phylogeny: its nodes but the root."""
+    return len(tree.node_masks) - 1
 
 
 def identity_split(matrix: BinaryMatrix) -> RowSplit:

@@ -47,6 +47,7 @@ from tests.helpers import (
     reference_laminar_tree,
     reference_phylogeny,
     reference_transpose,
+    tree_k,
     with_last_pair_crossing,
     with_repeated_rows,
 )
@@ -171,7 +172,7 @@ def test_distinct_columns_bound_on_conflict_free_corpus():
 
 def test_phylogeny_identity():
     tree = build_phylogeny(IDENTITY_2)
-    assert tree.k == 2
+    assert tree_k(tree) == 2
     assert tree.parent == (None, 0, 0)
     assert tree.row_node == (1, 2)
 
@@ -197,10 +198,10 @@ def test_phylogeny_structure(matrix):
     if find_conflict(matrix) is not None:
         return
     tree = build_phylogeny(matrix)
-    assert tree.k == count_distinct_cols(matrix)
+    assert tree_k(tree) == count_distinct_cols(matrix)
     full = (1 << matrix.m) - 1
     assert tree.node_masks[0] == full
-    for v in range(1, tree.k + 1):
+    for v in range(1, tree_k(tree) + 1):
         p = tree.parent[v]
         child, parent = tree.node_masks[v], tree.node_masks[p]
         assert child & ~parent == 0
@@ -210,7 +211,7 @@ def test_phylogeny_structure(matrix):
         node = tree.row_node[i]
         assert (tree.node_masks[node] >> i) & 1
         # minimality: no other support containing i is smaller
-        for v in range(1, tree.k + 1):
+        for v in range(1, tree_k(tree) + 1):
             if (tree.node_masks[v] >> i) & 1:
                 assert tree.node_masks[v].bit_count() >= tree.node_masks[node].bit_count()
 

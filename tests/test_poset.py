@@ -29,6 +29,7 @@ from tests.helpers import (
     GAP_DAG,
     brute_force_max_tower,
     brute_force_min_price,
+    dag_arcs,
     dilworth_partition,
     gap_weights,
     nested_prefix,
@@ -125,7 +126,7 @@ def test_is_monotone_matches_the_per_arc_definition():
         dag = random_dag(rng, max_vertices=12)
         for weights in ([rng.randint(0, 4) for _ in range(dag.n)],
                         random_monotone_weights(rng, dag, high=4)):
-            expected = all(weights[u] <= weights[v] for u, v in dag.arcs)
+            expected = all(weights[u] <= weights[v] for u, v in dag_arcs(dag))
             assert is_monotone(dag, weights) == expected
             seen.add(expected)
     assert seen == {True, False}
@@ -185,7 +186,7 @@ def test_strong_duality_on_random_instances():
         # relabel so vertex ids are not a topological order
         perm = list(range(dag.n))
         rng.shuffle(perm)
-        dag = Dag(dag.n, [(perm[u], perm[v]) for u, v in dag.arcs])
+        dag = Dag(dag.n, [(perm[u], perm[v]) for u, v in dag_arcs(dag)])
         weights = random_monotone_weights(rng, dag, high=(3, 20)[trial % 2])
         partition, tower = min_price_chain_partition(dag, weights)
         assert is_chain_partition(dag, partition)
@@ -230,7 +231,7 @@ def test_zero_one_weights_need_no_monotonicity():
 def _relabelled(rng, dag):
     perm = list(range(dag.n))
     rng.shuffle(perm)
-    return Dag(dag.n, [(perm[u], perm[v]) for u, v in dag.arcs])
+    return Dag(dag.n, [(perm[u], perm[v]) for u, v in dag_arcs(dag)])
 
 
 def _min_price_corpus():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,8 @@ from cfrs import (
     verify_row_split,
     width,
 )
+from cfrs.branching import DEFAULT_BUDGET
+from cfrs.cli import METHODS
 from cfrs.errors import BudgetError, InternalError
 from cfrs.io import format_matrix
 from cfrs.matrix import Verdict
@@ -191,8 +194,10 @@ def test_split_has_at_least_source_distinct_columns():
 
 
 @pytest.mark.parametrize("target, fake, solve", [
-    ("verify_row_split", lambda *args, **kwargs: Verdict(False, "forced"),
-     solve_linear_heuristic),
+    # every method's split goes through the one verification
+    *(pytest.param("verify_row_split", lambda *args, **kwargs: Verdict(False, "forced"),
+                   partial(call, budget=DEFAULT_BUDGET), id=f"verify_row_split-{method}")
+      for method, call in METHODS.items()),
     ("partition_price", lambda partition, weights: 0, solve_linear_heuristic),
     ("exact_min_uncovered", lambda digraph, budget: (cfrs.Branching.empty(digraph.n), 0),
      lambda m: solve_exact(m, "rows")),

@@ -53,55 +53,60 @@ KEEP = {
 }
 
 
-def _names(node, skip=None) -> set[str]:
-    """Every name, attribute, imported name and string constant under
-    ``node``, except inside ``skip``."""
+def _names(node, skip=None, bare=True) -> set[str]:
+    """Every attribute and string constant under ``node``, except inside
+    ``skip``, and with ``bare`` every name and imported name too."""
     found = set()
     stack = [node]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             found.add(node.attr)
-        elif isinstance(node, ast.alias):
-            found.add(node.name.rsplit(".", 1)[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             found.add(node.value)
+        elif bare and isinstance(node, ast.Name):
+            found.add(node.id)
+        elif bare and isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
         stack.extend(ast.iter_child_nodes(node))
     return found
 
 
 def test_every_public_definition_has_a_caller():
     # the package ships only what its commands, solvers and benchmark run:
-    # each public top-level function or class and each public method must be
-    # named somewhere in src/cfrs outside its own definition and outside
-    # __init__, or in bench/ (whose traced stages name functions by string).
-    # Matching is by name, so a method sharing a used name passes
+    # each public top-level function or class must be named somewhere in
+    # src/cfrs outside its own definition and outside __init__, or in bench/
+    # (whose traced stages name functions by string); each public method
+    # must be read as an attribute (x.name) or named in a string constant in
+    # the same places, so a local variable that shares its name does not
+    # count
     bench = Path(__file__).resolve().parents[1] / "bench"
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
              for path in SOURCES if path.stem != "__init__"}
+    bench_tree = ast.Module([ast.parse(path.read_text(encoding="utf-8"))
+                             for path in sorted(bench.glob("*.py"))], [])
     refs = {stem: _names(tree) for stem, tree in trees.items()}
-    refs["bench"] = set().union(*(_names(ast.parse(path.read_text(encoding="utf-8")))
-                                  for path in sorted(bench.glob("*.py"))))
+    attrs = {stem: _names(tree, bare=False) for stem, tree in trees.items()}
+    refs["bench"], attrs["bench"] = _names(bench_tree), _names(bench_tree, bare=False)
     defined, unused = set(), []
     for stem, tree in trees.items():
-        others = set().union(*(names for s, names in refs.items() if s != stem))
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or \
                     node.name.startswith("_"):
                 continue
-            defs = [(node.name, node)]
+            defs = [(node.name, node, True)]
             if isinstance(node, ast.ClassDef):
-                defs += [(f"{node.name}.{item.name}", item) for item in node.body
+                defs += [(f"{node.name}.{item.name}", item, False) for item in node.body
                          if isinstance(item, ast.FunctionDef)
                          and not item.name.startswith("_")]
-            for qualified, definition in defs:
+            for qualified, definition, bare in defs:
                 name = qualified.rsplit(".", 1)[-1]
                 defined.add(name)
-                if name not in KEEP and name not in others | _names(tree, skip=definition):
+                used = set().union(*(names for s, names in (refs if bare else attrs).items()
+                                     if s != stem))
+                if name not in KEEP and name not in used | _names(tree, definition, bare):
                     unused.append(f"{stem}.{qualified}")
     assert unused == []
     assert set(KEEP) <= defined
