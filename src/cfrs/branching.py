@@ -203,10 +203,17 @@ def _exact_minimize(
     completion; at a leaf ``suf`` is empty and the total is the exact cost.
     At the root it already charges every source its full support.
 
-    The bound is primed with the empty branching and two greedy ones, and a
-    subtree is entered only while its total is below the incumbent.  Every
-    branching cheaper than the incumbent is therefore reached, so the result
-    is still the first optimum in the fixed search order.
+    The search runs twice.  Choosing an arc only grows ``cover`` at its
+    head and ``cost`` is monotone, so a None choice is never cheaper than an
+    out-arc: the first pass skips None at every chooser, and its minimum is
+    the optimum OPT.  It is primed with the empty branching and two greedy
+    ones, and a subtree is entered only while its total is below the
+    incumbent.  The second pass is the full search (None first), primed at
+    OPT + 1 and stopped at its first leaf.  Until a search that is primed
+    higher reaches a leaf of cost OPT, its incumbent stays above OPT, so it
+    prunes no subtree holding one; the second pass therefore returns the
+    same first optimum in the fixed search order, visiting only a subset
+    of that search's nodes.
     """
     k = digraph.n
     states = branching_state_count(digraph)
@@ -239,63 +246,74 @@ def _exact_minimize(
     for v in reversed(choosers):
         for u in out_nbrs[v]:
             suf[u].append(suf[u][-1] | supports[v])
-    pending = [len(s) - 1 for s in suf]
-    cover = [0] * k
-    charge = [cost(supports[u] & ~suf[u][-1]) for u in range(k)]
-    choice: list[Optional[int]] = [None] * k
-    best: Optional[tuple[Optional[int], ...]] = None
-
-    # the search runs on an explicit stack: depth t decides choosers[t],
-    # ``tried[t]`` counts the options taken there (None first, then the
-    # out-neighbors in order) and ``acc[t]`` is the total on entering it
     depth = len(choosers)
-    tried = [0] * depth
-    acc = [0] * (depth + 1)
-    saved = [0] * depth
-    olds = [[0] * len(out_nbrs[v]) for v in choosers]
-    acc[0] = sum(charge)
-    t = 0
-    while t >= 0:
-        if t == depth:
-            if acc[t] < bound:
-                best, bound = tuple(choice), acc[t]
-                if total(best) != bound:
-                    raise InternalError(f"exact search charged {bound} for a branching "
-                                        f"costing {total(best)}")
-            t -= 1
-            continue
-        v = choosers[t]
-        nbrs, old = out_nbrs[v], olds[t]
-        i = tried[t]
-        if i:  # undo option i - 1
-            for j, u in enumerate(nbrs):
-                pending[u] += 1
-                charge[u] = old[j]
-            if i > 1:
-                cover[nbrs[i - 2]] = saved[t]
-            choice[v] = None
-        if i > len(nbrs):
-            tried[t] = 0
-            t -= 1
-            continue
-        tried[t] = i + 1
-        if i:
-            c = choice[v] = nbrs[i - 1]
-            saved[t] = cover[c]
-            cover[c] |= supports[v]
-        delta = 0
-        for j, u in enumerate(nbrs):
-            pending[u] -= 1
-            old[j] = charge[u]
-            charge[u] = cost(supports[u] & ~(cover[u] | suf[u][pending[u]]))
-            delta += charge[u] - old[j]
-        if acc[t] + delta < bound:
-            acc[t + 1] = acc[t] + delta
-            t += 1
 
-    if best is None:
+    def search(first: int, bound: int, floor: int) -> tuple[Optional[tuple], int]:
+        """Depth-first from option ``first`` at every chooser (0 is None,
+        i > 0 the i-th out-neighbor); the first leaf below ``bound`` becomes
+        the incumbent, and the search returns once it costs at most ``floor``."""
+        pending = [len(s) - 1 for s in suf]
+        cover = [0] * k
+        charge = [cost(supports[u] & ~suf[u][-1]) for u in range(k)]
+        choice: list[Optional[int]] = [None] * k
+        best = None
+        # an explicit stack: depth t decides choosers[t], ``tried[t]`` is
+        # the next option to take there and ``acc[t]`` the total on entering it
+        tried = [first] * depth
+        acc = [0] * (depth + 1)
+        saved = [0] * depth
+        olds = [[0] * len(out_nbrs[v]) for v in choosers]
+        acc[0] = sum(charge)
+        t = 0
+        while t >= 0:
+            if t == depth:
+                if acc[t] < bound:
+                    best, bound = tuple(choice), acc[t]
+                    if total(best) != bound:
+                        raise InternalError(f"exact search charged {bound} for a "
+                                            f"branching costing {total(best)}")
+                    if bound <= floor:
+                        break
+                t -= 1
+                continue
+            v = choosers[t]
+            nbrs, old = out_nbrs[v], olds[t]
+            i = tried[t]
+            if i > first:  # undo option i - 1
+                for j, u in enumerate(nbrs):
+                    pending[u] += 1
+                    charge[u] = old[j]
+                if i > 1:
+                    cover[nbrs[i - 2]] = saved[t]
+                choice[v] = None
+            if i > len(nbrs):
+                tried[t] = first
+                t -= 1
+                continue
+            tried[t] = i + 1
+            if i:
+                c = choice[v] = nbrs[i - 1]
+                saved[t] = cover[c]
+                cover[c] |= supports[v]
+            delta = 0
+            for j, u in enumerate(nbrs):
+                pending[u] -= 1
+                old[j] = charge[u]
+                charge[u] = cost(supports[u] & ~(cover[u] | suf[u][pending[u]]))
+                delta += charge[u] - old[j]
+            if acc[t] + delta < bound:
+                acc[t + 1] = acc[t] + delta
+                t += 1
+        return best, bound
+
+    found, opt = search(1, bound, -1)
+    if found is None:
         raise InternalError("exact search ended without reaching its primed bound")
-    return Branching(best), bound
+    best, value = search(0, opt + 1, opt)
+    if value != opt:
+        raise InternalError(f"exact search's second pass ended at {value}, "
+                            f"not at the optimum {opt}")
+    return Branching(best), value
 
 
 def exact_min_uncovered(digraph: ContainmentDigraph,

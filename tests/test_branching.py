@@ -15,6 +15,7 @@ from cfrs import (
     BudgetError,
     branching_split,
     branching_state_count,
+    brute_force_vertex_cover,
     build_containment,
     count_distinct_rows,
     exact_min_irreducible,
@@ -291,6 +292,40 @@ def test_exact_matches_full_enumeration_on_corpus():
                 enumerated += 1
                 assert found[1] == min(len(kept(d, b)) for b in iter_branchings(d))
     assert enumerated >= 100
+
+
+def test_none_free_branchings_hold_an_optimum():
+    # choosing an arc only grows the cover of its head, so some optimum has
+    # every vertex with an out-arc take one: the exact search's first pass
+    # minimizes over those branchings alone
+    checked = 0
+    for matrix in exact_corpus():
+        d = build_containment(matrix)
+        if not enumerable(d, cap=400):
+            continue
+        for kept in (uncovered_pairs, irreducible_vertices):
+            every, none_free = [], []
+            for b in iter_branchings(d):
+                every.append(len(kept(d, b)))
+                if all(c is not None or not d.out(v) for v, c in enumerate(b.choice)):
+                    none_free.append(every[-1])
+            assert min(none_free) == min(every)
+            checked += 1
+    assert checked >= 100
+
+
+def test_exact_matches_reference_on_petersen_reductions():
+    # the heaviest searches the benchmark runs: 8n + tau rows on the vc
+    # reduction and |E| + tau distinct rows on the ib reduction
+    petersen = prism(5, 2)
+    tau = brute_force_vertex_cover(petersen)
+    for gen, solve, cost, optimum in (
+            (gen_vc_reduction, exact_min_uncovered, int.bit_count, 8 * petersen.n + tau),
+            (gen_ib_reduction, exact_min_irreducible, bool, len(petersen.edges) + tau)):
+        d = build_containment(gen(petersen))
+        found = solve(d)
+        assert found == reference_exact_minimize(d, cost)
+        assert found[1] == optimum
 
 
 def test_exact_on_laminar_30x40_beyond_the_default_budget():
