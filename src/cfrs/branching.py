@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Optional, Sequence
 
 from .containment import ContainmentDigraph, Dag
@@ -192,28 +194,36 @@ def _exact_minimize(
     """Shared exact solver: minimize the sum over vertices of
     ``cost(uncovered_mask)`` over all branchings.
 
-    Depth-first over per-vertex out-choices (None first, then neighbors in
-    index order) with branch-and-bound.  The running total is a look-ahead
-    lower bound: vertex u is charged ``cost(supports[u] & ~cover[u] &
-    ~suf[u])``, where ``suf[u]`` is the union of the supports of u's
-    in-neighbors that have not chosen yet (suffix ORs over the decision
-    order, precomputed once).  Only the out-neighbors of the vertex that
-    just chose change their charge.  ``cover | suf`` can only shrink along
-    a path and ``cost`` is monotone, so the total never overestimates any
-    completion; at a leaf ``suf`` is empty and the total is the exact cost.
-    At the root it already charges every source its full support.
+    Returns the first optimum in the fixed search order: choosers in the
+    decision order, each trying None first, then its out-neighbors in index
+    order.  Subtrees are bounded by a look-ahead lower bound: vertex u is
+    charged ``cost(supports[u] & ~cover[u] & ~suf[u])``, where ``suf[u]``
+    is the union of the supports of u's in-neighbors that have not chosen
+    yet (suffix ORs over the decision order, precomputed once).  Only the
+    out-neighbors of the vertex that just chose change their charge.
+    ``cover | suf`` can only shrink along a path and ``cost`` is monotone,
+    so the total never overestimates any completion; at a leaf ``suf`` is
+    empty and the total is the exact cost.  At the root it already charges
+    every source its full support.
 
-    The search runs twice.  Choosing an arc only grows ``cover`` at its
-    head and ``cost`` is monotone, so a None choice is never cheaper than an
-    out-arc: the first pass skips None at every chooser, and its minimum is
-    the optimum OPT.  It is primed with the empty branching and two greedy
-    ones, and a subtree is entered only while its total is below the
-    incumbent.  The second pass is the full search (None first), primed at
-    OPT + 1 and stopped at its first leaf.  Until a search that is primed
-    higher reaches a leaf of cost OPT, its incumbent stays above OPT, so it
-    prunes no subtree holding one; the second pass therefore returns the
-    same first optimum in the fixed search order, visiting only a subset
-    of that search's nodes.
+    Choosing an arc only grows ``cover`` at its head and ``cost`` is
+    monotone, so a None choice is never cheaper than an out-arc, and the
+    minimum of any subtree equals that of its None-free part.  Pass 1 is a
+    None-free branch-and-bound, primed with the empty branching and two
+    greedy ones, that enters a subtree only while its total is below the
+    incumbent: it proves the optimum OPT and yields an optimal witness W.
+    Pass 2 descends the decision order, keeping W in agreement with the
+    choices made so far.  At each chooser it takes the first option, None
+    first, whose subtree holds a leaf of cost OPT, which W's own option
+    does.  An earlier option is skipped when its look-ahead total exceeds
+    OPT.  It is taken at once when moving only this chooser of W to it
+    keeps W's cost at OPT: a move from head a to head b changes only a's
+    and b's costs.  Otherwise a None-free subsearch of the later choosers,
+    primed at OPT + 1, trying W's options first and stopped at its first
+    leaf, decides it, and that leaf becomes W.  The descent thus ends at
+    the lexicographically first optimal leaf, the one a single full search
+    would return.  Both passes run on one state, changed and restored in
+    place.
     """
     k = digraph.n
     states = branching_state_count(digraph)
@@ -248,24 +258,55 @@ def _exact_minimize(
             suf[u].append(suf[u][-1] | supports[v])
     depth = len(choosers)
 
-    def search(first: int, bound: int, floor: int) -> tuple[Optional[tuple], int]:
-        """Depth-first from option ``first`` at every chooser (0 is None,
-        i > 0 the i-th out-neighbor); the first leaf below ``bound`` becomes
-        the incumbent, and the search returns once it costs at most ``floor``."""
-        pending = [len(s) - 1 for s in suf]
-        cover = [0] * k
-        charge = [cost(supports[u] & ~suf[u][-1]) for u in range(k)]
-        choice: list[Optional[int]] = [None] * k
+    # the state: depth t decides choosers[t]; ``acc[t]`` is the charged
+    # total on entering depth t and ``tried[t]`` the number of
+    # out-neighbors tried there
+    pending = [len(s) - 1 for s in suf]
+    cover = [0] * k
+    charge = [cost(supports[u] & ~suf[u][-1]) for u in range(k)]
+    choice: list[Optional[int]] = [None] * k
+    acc = [sum(charge)] + [0] * depth
+    tried = [0] * depth
+    saved = [0] * depth
+    olds = [[0] * len(out_nbrs[v]) for v in choosers]
+
+    def decide(t: int, c: Optional[int]) -> int:
+        """Let choosers[t] choose c (None for no arc); return the change
+        of the charged total."""
+        v = choosers[t]
+        choice[v] = c
+        if c is not None:
+            saved[t] = cover[c]
+            cover[c] |= supports[v]
+        old = olds[t]
+        delta = 0
+        for j, u in enumerate(out_nbrs[v]):
+            pending[u] -= 1
+            old[j] = charge[u]
+            charge[u] = cost(supports[u] & ~(cover[u] | suf[u][pending[u]]))
+            delta += charge[u] - old[j]
+        return delta
+
+    def undecide(t: int) -> None:
+        """Undo ``decide(t, choice[choosers[t]])``."""
+        v = choosers[t]
+        for j, u in enumerate(out_nbrs[v]):
+            pending[u] += 1
+            charge[u] = olds[t][j]
+        if choice[v] is not None:
+            cover[choice[v]] = saved[t]
+        choice[v] = None
+
+    def search(t0: int, bound: int, floor: int,
+               start: list[int]) -> tuple[Optional[tuple], int]:
+        """None-free depth-first over choosers[t0:] from the state at depth
+        t0; depth t tries the out-neighbors of choosers[t] cyclically from
+        index ``start[t]``.  The first leaf below ``bound`` becomes the
+        incumbent, and the search stops once it costs at most ``floor``.
+        The state is restored."""
         best = None
-        # an explicit stack: depth t decides choosers[t], ``tried[t]`` is
-        # the next option to take there and ``acc[t]`` the total on entering it
-        tried = [first] * depth
-        acc = [0] * (depth + 1)
-        saved = [0] * depth
-        olds = [[0] * len(out_nbrs[v]) for v in choosers]
-        acc[0] = sum(charge)
-        t = 0
-        while t >= 0:
+        t = t0
+        while t >= t0:
             if t == depth:
                 if acc[t] < bound:
                     best, bound = tuple(choice), acc[t]
@@ -278,23 +319,22 @@ def _exact_minimize(
                 continue
             v = choosers[t]
             nbrs, old = out_nbrs[v], olds[t]
-            i = tried[t]
-            if i > first:  # undo option i - 1
+            # undecide and decide, inlined: calling them here took up to
+            # twice as long on the larger searches
+            s = tried[t]
+            if s:  # undo the out-neighbor taken last
                 for j, u in enumerate(nbrs):
                     pending[u] += 1
                     charge[u] = old[j]
-                if i > 1:
-                    cover[nbrs[i - 2]] = saved[t]
-                choice[v] = None
-            if i > len(nbrs):
-                tried[t] = first
+                cover[choice[v]] = saved[t]
+            if s == len(nbrs):
+                tried[t] = 0
                 t -= 1
                 continue
-            tried[t] = i + 1
-            if i:
-                c = choice[v] = nbrs[i - 1]
-                saved[t] = cover[c]
-                cover[c] |= supports[v]
+            tried[t] = s + 1
+            c = choice[v] = nbrs[(start[t] + s) % len(nbrs)]
+            saved[t] = cover[c]
+            cover[c] |= supports[v]
             delta = 0
             for j, u in enumerate(nbrs):
                 pending[u] -= 1
@@ -304,16 +344,59 @@ def _exact_minimize(
             if acc[t] + delta < bound:
                 acc[t + 1] = acc[t] + delta
                 t += 1
+        while t > t0:
+            t -= 1
+            undecide(t)
+            tried[t] = 0
         return best, bound
 
-    found, opt = search(1, bound, -1)
+    found, opt = search(0, bound, -1, [0] * depth)
     if found is None:
         raise InternalError("exact search ended without reaching its primed bound")
-    best, value = search(0, opt + 1, opt)
-    if value != opt:
-        raise InternalError(f"exact search's second pass ended at {value}, "
-                            f"not at the optimum {opt}")
-    return Branching(best), value
+    # pass 2; W agrees with the choices made so far: ``start[t]`` is the
+    # index of W's out-neighbor at each later depth t, and ``into[h]`` the
+    # set of vertices choosing h in W
+    def chosen_by(branching: Sequence[Optional[int]]) -> list[int]:
+        masks = [0] * k
+        for u, h in enumerate(branching):
+            if h is not None:
+                masks[h] |= 1 << u
+        return masks
+
+    def relief(h: int, v: int) -> int:
+        """How much v choosing h lowers h's cost, W's other choices fixed."""
+        rest = reduce(or_, select(supports, into[h] & ~(1 << v)), 0)
+        return cost(supports[h] & ~rest) - cost(supports[h] & ~(rest | supports[v]))
+
+    into = chosen_by(found)
+    start = [out_nbrs[v].index(found[v]) for v in choosers]
+    for t, v in enumerate(choosers):
+        a = out_nbrs[v][start[t]]
+        for c in (None, *out_nbrs[v][:start[t]]):
+            delta = decide(t, c)
+            if acc[t] + delta <= opt:
+                # moving v in W from head a to c changes only a's and c's costs
+                if relief(a, v) == (0 if c is None else relief(c, v)):
+                    into[a] ^= 1 << v
+                    if c is not None:
+                        into[c] |= 1 << v
+                    break
+                acc[t + 1] = acc[t] + delta
+                leaf = search(t + 1, opt + 1, opt, start)[0]
+                if leaf is not None:
+                    into = chosen_by(leaf)
+                    start[t + 1:] = [out_nbrs[u].index(leaf[u])
+                                     for u in choosers[t + 1:]]
+                    break
+            undecide(t)
+        else:
+            delta = decide(t, a)
+        acc[t + 1] = acc[t] + delta
+    best = tuple(choice)
+    if total(best) != opt:
+        raise InternalError(f"exact search's descent ended at a branching costing "
+                            f"{total(best)}, not at the optimum {opt}")
+    return Branching(best), opt
 
 
 def exact_min_uncovered(digraph: ContainmentDigraph,

@@ -705,6 +705,48 @@ def reference_exact_minimize(digraph, cost):
     return Branching(best), bound
 
 
+def reference_lookahead_minimize(digraph, cost):
+    """``(Branching, value)``: the first minimum of the summed ``cost`` of
+    the uncovered masks in the exact solver's search order, by one full
+    depth-first search, no arc first, that skips a subtree once its lower
+    bound reaches the best leaf so far.  The bound is recomputed from
+    scratch at every node: each vertex is charged the rows outside the
+    supports of its chosen and of its undecided in-neighbors."""
+    k = digraph.n
+    supports = digraph.supports
+    out_nbrs = [digraph.out(v) for v in range(k)]
+    choosers = [v for v in reference_decision_order(digraph) if out_nbrs[v]]
+    choice = [None] * k
+    best = bound = None
+
+    def lower_bound(t):
+        cover = [0] * k
+        for u in choosers[:t]:
+            if choice[u] is not None:
+                cover[choice[u]] |= supports[u]
+        for u in choosers[t:]:
+            for w in out_nbrs[u]:
+                cover[w] |= supports[u]
+        return sum(cost(mask & ~covered) for mask, covered in zip(supports, cover))
+
+    def descend(t):
+        nonlocal best, bound
+        value = lower_bound(t)
+        if bound is not None and value >= bound:
+            return
+        if t == len(choosers):
+            best, bound = tuple(choice), value
+            return
+        v = choosers[t]
+        for c in (None, *out_nbrs[v]):
+            choice[v] = c
+            descend(t + 1)
+        choice[v] = None
+
+    descend(0)
+    return Branching(best), bound
+
+
 def reference_maximum_bipartite_matching(adj, n_right):
     """Hopcroft-Karp with a recursive augmenting-path search."""
     n_left = len(adj)

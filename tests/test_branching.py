@@ -29,7 +29,7 @@ from cfrs import (
     split_to_branching,
     verify_row_split,
 )
-from cfrs.branching import _decision_order
+from cfrs.branching import DEFAULT_BUDGET, _decision_order
 from cfrs.matrix import MatrixError, RowSplit
 from cfrs.poset import partition_price
 
@@ -56,6 +56,7 @@ from tests.helpers import (
     reference_distinct_2_split,
     reference_exact_minimize,
     reference_first_conflict,
+    reference_lookahead_minimize,
     reference_split_to_branching,
     uncovered_pairs,
     with_repeated_split_rows,
@@ -328,17 +329,59 @@ def test_exact_matches_reference_on_petersen_reductions():
         assert found[1] == optimum
 
 
+def test_exact_matches_reference_on_differential_corpus():
+    # the descent ends at the first optimum of the full search order, the
+    # branching the earlier branch-and-bound returns.  The look-ahead
+    # reference stands in for that one on the laminar 30x40 distinct
+    # solves below, where it takes over a minute; it must agree with it here.
+    # In the extra matrix, pass 1's witness has vertices 1, 4 and 5 choose
+    # vertex 0 (rows 1-3): 1 and 4 both cover row 1, 5 covers rows 2 and 3.
+    # The distinct descent moves 4 to None by the one-move shortcut; after
+    # that move, 1 can no longer leave vertex 0 without uncovering row 1
+    shared_head = BinaryMatrix(((0, 0, 1, 1, 0, 0), (1, 1, 0, 0, 1, 0),
+                                (1, 1, 1, 0, 0, 1), (1, 0, 1, 0, 0, 1)))
+    solved = 0
+    for matrix in differential_corpus() + [shared_head]:
+        d = build_containment(matrix)
+        if branching_state_count(d) > DEFAULT_BUDGET:
+            continue
+        for solve, cost in ((exact_min_uncovered, int.bit_count),
+                            (exact_min_irreducible, bool)):
+            expected = reference_exact_minimize(d, cost)
+            assert solve(d) == expected
+            if cost is bool:
+                assert reference_lookahead_minimize(d, cost) == expected
+            solved += 1
+    assert solved >= 200
+
+
 def test_exact_on_laminar_30x40_beyond_the_default_budget():
     # the row optimum of a conflict-free matrix is m, and the distinct
-    # optimum lies between the source count and the distinct-row count
+    # optimum lies between the source count and the distinct-row count.
+    # Distinct optima tie often here, so the descent's one-move shortcut
+    # fires, and it must still end at the first optimum
     for seed in range(3):
         matrix = gen_random_laminar(30, 40, seed)
         d = build_containment(matrix)
         states = branching_state_count(d)
         sources = sum(1 for mask in d.in_masks if mask == 0)
         assert exact_min_uncovered(d, budget=states)[1] == 30
-        distinct = exact_min_irreducible(d, budget=states)[1]
-        assert sources <= distinct <= count_distinct_rows(matrix)
+        found = exact_min_irreducible(d, budget=states)
+        assert found == reference_lookahead_minimize(d, bool)
+        assert sources <= found[1] <= count_distinct_rows(matrix)
+
+
+def test_exact_rows_on_ib_reductions():
+    # rows are the edges; an edge's row stays uncovered at its singleton
+    # and at the triple of the endpoint its singleton does not choose, so
+    # every branching in which each singleton picks an endpoint costs the
+    # optimum 2|E| rows, and all of them tie
+    for graph in (prism(5, 1), prism(5, 2)):
+        matrix = gen_ib_reduction(graph)
+        d = build_containment(matrix)
+        branching, value = exact_min_uncovered(d)
+        assert value == len(uncovered_pairs(d, branching)) == 2 * len(graph.edges) == 30
+        assert verify_row_split(matrix, branching_split(matrix, branching, d)).ok
 
 
 def test_exact_search_runs_deeper_than_the_recursion_limit():
