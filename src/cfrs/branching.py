@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
+from itertools import islice
 from operator import or_
 from typing import Callable, Optional, Sequence
 
@@ -30,6 +31,10 @@ from .matrix import (
 )
 
 DEFAULT_BUDGET = 10**8
+
+# an undecided chooser of the exact search: its support and the heads where
+# it can hold lone rows (see _lone_rows_bound)
+Holder = tuple[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -148,49 +153,146 @@ def _decision_order(digraph: Dag) -> list[int]:
     """
     n = digraph.n
     out_masks, in_masks = digraph.out_masks, digraph.in_masks
+    outs = [list(bits_of(mask)) for mask in out_masks]
     pending = [mask.bit_count() for mask in in_masks]
-    heap: list[tuple[int, int, int]] = []
+    # a pair (key, w) for head u is the int (key << 2b) | (w << b) | (u + 1),
+    # which the heap compares in C, unlike a tuple
+    b = (n + 1).bit_length()
+    low = (1 << b) - 1
+    heap: list[int] = []
+    push, pop = heapq.heappush, heapq.heappop
     available = 0
-
-    def offer(u: int) -> None:
-        ins = in_masks[u] & available
-        if ins:
-            heapq.heappush(heap, (pending[u] - 1, (ins & -ins).bit_length() - 1, u))
-
-    def make_available(v: int) -> None:
-        nonlocal available
-        available |= 1 << v
-        if not out_masks[v]:
-            heapq.heappush(heap, (n + 1, v, -1))
-        for u in bits_of(out_masks[v]):
-            offer(u)
-
-    for v in range(n):
-        if not pending[v]:
-            make_available(v)
+    # a vertex becomes available when its last in-neighbor is placed; it
+    # then offers itself as a sink or to each of its heads
+    fresh = [v for v in range(n) if not pending[v]]
     order: list[int] = []
-    while heap:
-        key, v, u = heapq.heappop(heap)
-        if not available >> v & 1 or (u >= 0 and key != pending[u] - 1):
+    while True:
+        for v in fresh:
+            available |= 1 << v
+            if not out_masks[v]:
+                push(heap, (n + 1) << 2 * b | v << b)
+            for u in outs[v]:
+                ins = in_masks[u] & available
+                push(heap, (pending[u] - 1) << 2 * b | ((ins & -ins).bit_length() - 1) << b
+                     | u + 1)
+        if not heap:
+            break
+        pair = pop(heap)
+        v, u = pair >> b & low, (pair & low) - 1
+        if not available >> v & 1 or (u >= 0 and pair >> 2 * b != pending[u] - 1):
+            fresh = ()
             continue
         order.append(v)
         available ^= 1 << v
-        for u in bits_of(out_masks[v]):
+        fresh = []
+        for u in outs[v]:
             pending[u] -= 1
             if pending[u]:
-                offer(u)
+                ins = in_masks[u] & available
+                if ins:
+                    push(heap, (pending[u] - 1) << 2 * b
+                         | ((ins & -ins).bit_length() - 1) << b | u + 1)
             else:
-                make_available(u)
+                fresh.append(u)
     if len(order) != n:
         raise InternalError(f"decision order placed {len(order)} of {n} vertices")
     return order
 
 
-def _exact_minimize(
-    digraph: ContainmentDigraph,
-    cost: Callable[[int], int],
-    budget: int,
-) -> tuple[Branching, int]:
+def _lone_rows_bound(holders: Sequence[Holder],
+                     cover: Sequence[int], suf2: Sequence[Sequence[int]],
+                     pending: Sequence[int], start: int, gap: float) -> int:
+    """Rows, beyond the look-ahead's, that stay uncovered in every completion.
+
+    ``holders[start:]`` are undecided choosers c, each with its support and
+    some of its heads.  Row r of c is lone at head u when r is outside
+    ``cover[u]`` and c is the only undecided in-neighbor of u holding it,
+    that is outside ``suf2[u][pending[u]]``, the rows held by two or more
+    of them.  The look-ahead charges none of these (head, row) pairs, and
+    each belongs to one chooser.  c picks one head, so it leaves all its
+    lone pairs uncovered but those at that head: at least all but those at
+    its head with the most.  Stops once the sum reaches ``gap``.
+    """
+    extra = 0
+    for mask, heads in islice(holders, start, None):
+        held = most = 0
+        for u in heads:
+            lone = (mask & ~(cover[u] | suf2[u][pending[u]])).bit_count()
+            held += lone
+            if lone > most:
+                most = lone
+        extra += held - most
+        if extra >= gap:
+            break
+    return extra
+
+
+def _lone_heads_bound(holders: Sequence[Holder],
+                      cover: Sequence[int], suf2: Sequence[Sequence[int]],
+                      pending: Sequence[int], start: int, gap: float, *,
+                      charge: Sequence[int]) -> int:
+    """Heads, beyond the look-ahead's, that stay irreducible in every
+    completion.
+
+    With lone rows as in :func:`_lone_rows_bound`, a head u that the
+    look-ahead does not charge needs the undecided chooser c to become
+    reducible when c has a lone row there.  c picks one head, so at most
+    one head of such a group becomes reducible.  Groups are taken in the
+    order of ``holders`` and drop the heads of earlier groups, so no head
+    is counted twice.  Stops once the sum reaches ``gap``.
+    """
+    extra = used = 0
+    for mask, heads in islice(holders, start, None):
+        group = 0
+        for u in heads:
+            if not charge[u] and mask & ~(cover[u] | suf2[u][pending[u]]):
+                group |= 1 << u
+        group &= ~used
+        size = group.bit_count()
+        if size > 1:
+            extra += size - 1
+            used |= group
+            if extra >= gap:
+                break
+    return extra
+
+
+def _suffix_tables(
+    supports: Sequence[int], out_nbrs: Sequence[Sequence[int]], choosers: Sequence[int],
+) -> tuple[list[list[int]], list[list[int]], list[Holder], list[int]]:
+    """The exact search's tables over its decision order ``choosers``.
+
+    ``suf[u][p]`` is the union of the supports of the last p in-neighbors
+    of u to choose and ``suf2[u][p]`` the rows held by two or more of them;
+    every in-neighbor has an out-arc, so it is a chooser.  A row of v can
+    be lone at u (see :func:`_lone_rows_bound`) only if no later chooser of
+    u holds it.  The holders are the choosers with such rows at two heads
+    or more, each with its support and those heads, in decision order:
+    ``holders[first_holder[t]:]`` are the undecided ones at depth t.
+    """
+    k, depth = len(supports), len(choosers)
+    suf: list[list[int]] = [[0] for _ in range(k)]
+    suf2: list[list[int]] = [[0] for _ in range(k)]
+    holders: list[Holder] = []
+    later_holders = [0] * (depth + 1)
+    for t in reversed(range(depth)):
+        v = choosers[t]
+        mask, heads = supports[v], []
+        for u in out_nbrs[v]:
+            later = suf[u][-1]
+            if mask & ~later:
+                heads.append(u)
+            suf2[u].append(suf2[u][-1] | (later & mask))
+            suf[u].append(later | mask)
+        if len(heads) > 1:
+            holders.append((mask, tuple(heads)))
+        later_holders[t] = len(holders)
+    holders.reverse()
+    return suf, suf2, holders, [len(holders) - n for n in later_holders]
+
+
+def _exact_minimize(digraph: ContainmentDigraph, distinct: bool,
+                    budget: int) -> tuple[Branching, int]:
     """Shared exact solver: minimize the sum over vertices of
     ``cost(uncovered_mask)`` over all branchings.
 
@@ -206,24 +308,34 @@ def _exact_minimize(
     empty and the total is the exact cost.  At the root it already charges
     every source its full support.
 
+    Wherever the look-ahead prunes, the lone-holder bound is added to it
+    (:func:`_lone_rows_bound` for rows, :func:`_lone_heads_bound` for
+    distinct rows): a row that only one undecided in-neighbor c of u holds
+    and that u's cover lacks is relieved at u only if c picks u, and c
+    picks one head.  Its pairs are disjoint from the look-ahead's and from
+    other choosers', so the sum is still a lower bound.  It is computed
+    only while undecided holders remain (see :func:`_suffix_tables`), and
+    stops once it closes the gap to the incumbent.
+
     Choosing an arc only grows ``cover`` at its head and ``cost`` is
     monotone, so a None choice is never cheaper than an out-arc, and the
     minimum of any subtree equals that of its None-free part.  Pass 1 is a
     None-free branch-and-bound, primed with the empty branching and two
-    greedy ones, that enters a subtree only while its total is below the
-    incumbent: it proves the optimum OPT and yields an optimal witness W.
-    Pass 2 descends the decision order, keeping W in agreement with the
-    choices made so far.  At each chooser it takes the first option, None
-    first, whose subtree holds a leaf of cost OPT, which W's own option
-    does.  An earlier option is skipped when its look-ahead total exceeds
-    OPT.  It is taken at once when moving only this chooser of W to it
-    keeps W's cost at OPT: a move from head a to head b changes only a's
-    and b's costs.  Otherwise a None-free subsearch of the later choosers,
-    primed at OPT + 1, trying W's options first and stopped at its first
-    leaf, decides it, and that leaf becomes W.  The descent thus ends at
-    the lexicographically first optimal leaf, the one a single full search
-    would return.  Both passes run on one state, changed and restored in
-    place.
+    greedy ones, that enters a subtree only while its bound is below the
+    incumbent, and stops at a leaf costing no more than the root's bound:
+    it proves the optimum OPT and yields an optimal witness W.  Pass 2
+    descends the decision order, keeping W in agreement with the choices
+    made so far.  At each chooser it takes the first option, None first,
+    whose subtree holds a leaf of cost OPT, which W's own option does.  An
+    earlier option is skipped when its bound exceeds OPT.  It is taken at
+    once when moving only this chooser of W to it keeps W's cost at OPT: a
+    move from head a to head b changes only a's and b's costs.  Otherwise
+    a None-free subsearch of the later choosers, primed at OPT + 1, trying
+    W's options first and stopped at its first leaf, decides it, and that
+    leaf becomes W.  The descent thus ends at the lexicographically first
+    optimal leaf, the one a single full search would return, whichever
+    optimal W pass 1 found.  Both passes run on one state, changed and
+    restored in place.
     """
     k = digraph.n
     states = branching_state_count(digraph)
@@ -231,6 +343,7 @@ def _exact_minimize(
         raise BudgetError(
             f"{states} branchings exceed the enumeration budget of {budget}"
         )
+    cost: Callable[[int], int] = bool if distinct else int.bit_count
     supports = digraph.supports
     out_nbrs = [digraph.out(v) for v in range(k)]
     choosers = [v for v in _decision_order(digraph) if out_nbrs[v]]
@@ -250,13 +363,8 @@ def _exact_minimize(
     )
     bound = min(total(c) for c in ((None,) * k, smallest, largest)) + 1
 
-    # suf[u][p]: union of the supports of the last p in-neighbors of u to
-    # choose; every in-neighbor has an out-arc, so it is a chooser
-    suf: list[list[int]] = [[0] for _ in range(k)]
-    for v in reversed(choosers):
-        for u in out_nbrs[v]:
-            suf[u].append(suf[u][-1] | supports[v])
-    depth = len(choosers)
+    suf, suf2, holders, first_holder = _suffix_tables(supports, out_nbrs, choosers)
+    depth, n_holders = len(choosers), len(holders)
 
     # the state: depth t decides choosers[t]; ``acc[t]`` is the charged
     # total on entering depth t and ``tried[t]`` the number of
@@ -269,6 +377,11 @@ def _exact_minimize(
     tried = [0] * depth
     saved = [0] * depth
     olds = [[0] * len(out_nbrs[v]) for v in choosers]
+    # beyond(first_holder[t], gap): the lone-holder bound at depth t
+    if distinct:
+        beyond = partial(_lone_heads_bound, holders, cover, suf2, pending, charge=charge)
+    else:
+        beyond = partial(_lone_rows_bound, holders, cover, suf2, pending)
 
     def decide(t: int, c: Optional[int]) -> int:
         """Let choosers[t] choose c (None for no arc); return the change
@@ -341,8 +454,10 @@ def _exact_minimize(
                 old[j] = charge[u]
                 charge[u] = cost(supports[u] & ~(cover[u] | suf[u][pending[u]]))
                 delta += charge[u] - old[j]
-            if acc[t] + delta < bound:
-                acc[t + 1] = acc[t] + delta
+            lower = acc[t] + delta
+            if lower < bound and (first_holder[t + 1] == n_holders
+                                  or lower + beyond(first_holder[t + 1], bound - lower) < bound):
+                acc[t + 1] = lower
                 t += 1
         while t > t0:
             t -= 1
@@ -350,7 +465,9 @@ def _exact_minimize(
             tried[t] = 0
         return best, bound
 
-    found, opt = search(0, bound, -1, [0] * depth)
+    # a leaf at the root's lower bound is optimal
+    floor = acc[0] + beyond(0, bound - acc[0])
+    found, opt = search(0, bound, floor, [0] * depth)
     if found is None:
         raise InternalError("exact search ended without reaching its primed bound")
     # pass 2; W agrees with the choices made so far: ``start[t]`` is the
@@ -374,7 +491,9 @@ def _exact_minimize(
         a = out_nbrs[v][start[t]]
         for c in (None, *out_nbrs[v][:start[t]]):
             delta = decide(t, c)
-            if acc[t] + delta <= opt:
+            lower = acc[t] + delta
+            if lower <= opt and (first_holder[t + 1] == n_holders
+                                 or lower + beyond(first_holder[t + 1], opt + 1 - lower) <= opt):
                 # moving v in W from head a to c changes only a's and c's costs
                 if relief(a, v) == (0 if c is None else relief(c, v)):
                     into[a] ^= 1 << v
@@ -406,14 +525,14 @@ def exact_min_uncovered(digraph: ContainmentDigraph,
     This equals the minimum row count over all conflict-free row splits of
     the digraph's matrix.
     """
-    return _exact_minimize(digraph, int.bit_count, budget)
+    return _exact_minimize(digraph, False, budget)
 
 
 def exact_min_irreducible(digraph: ContainmentDigraph,
                           budget: int = DEFAULT_BUDGET) -> tuple[Branching, int]:
     """Branching minimizing the number of irreducible vertices, with that
     number: the minimum distinct-row count over all conflict-free splits."""
-    return _exact_minimize(digraph, bool, budget)
+    return _exact_minimize(digraph, True, budget)
 
 
 def linear_from_chains(chains) -> Branching:

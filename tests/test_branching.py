@@ -1,7 +1,9 @@
+import hashlib
 import os
 import random
 import subprocess
 import sys
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from cfrs import (
     exact_min_uncovered,
     gen_block_tree,
     gen_ib_reduction,
+    gen_random,
     gen_random_laminar,
     gen_vc_reduction,
     linear_from_chains,
@@ -29,7 +32,13 @@ from cfrs import (
     split_to_branching,
     verify_row_split,
 )
-from cfrs.branching import DEFAULT_BUDGET, _decision_order
+from cfrs.branching import (
+    DEFAULT_BUDGET,
+    _decision_order,
+    _lone_heads_bound,
+    _lone_rows_bound,
+    _suffix_tables,
+)
 from cfrs.matrix import MatrixError, RowSplit
 from cfrs.poset import partition_price
 
@@ -382,6 +391,133 @@ def test_exact_rows_on_ib_reductions():
         branching, value = exact_min_uncovered(d)
         assert value == len(uncovered_pairs(d, branching)) == 2 * len(graph.edges) == 30
         assert verify_row_split(matrix, branching_split(matrix, branching, d)).ok
+
+
+def test_lone_holder_bound_never_exceeds_the_best_completion():
+    # at a random node of the search order (a prefix of choices, None
+    # allowed), the look-ahead plus the lone-holder bound is at most the
+    # cheapest completion, found by enumerating every branching.  The
+    # bound from the exact search's tables equals the bound over every
+    # undecided chooser and all its heads
+    rng = random.Random(2017)
+    nodes = positive = 0
+    matrices = exact_corpus() + differential_corpus()
+    matrices += [gen(k4()) for gen in (gen_vc_reduction, gen_ib_reduction)]
+    for matrix in matrices:
+        d = build_containment(matrix)
+        if not enumerable(d, cap=2000):
+            continue
+        k, supports = d.n, d.supports
+        out_nbrs = [d.out(v) for v in range(k)]
+        choosers = [v for v in reference_decision_order(d) if out_nbrs[v]]
+        every = list(iter_branchings(d))
+        suf, suf2, holders, first_holder = _suffix_tables(supports, out_nbrs, choosers)
+        for distinct, kept in ((False, uncovered_pairs), (True, irreducible_vertices)):
+            cost = bool if distinct else int.bit_count
+            values = [len(kept(d, b)) for b in every]
+            for _ in range(12 if holders else 2):
+                t = rng.randint(0, len(choosers))
+                prefix = {v: rng.choice((None, *out_nbrs[v])) for v in choosers[:t]}
+                cover, held = [0] * k, [[] for _ in range(k)]
+                for v, c in prefix.items():
+                    if c is not None:
+                        cover[c] |= supports[v]
+                for v in choosers[t:]:
+                    for u in out_nbrs[v]:
+                        held[u].append(supports[v])
+                pending = [len(h) for h in held]
+                twice = [0] * k  # rows held by two or more undecided in-neighbors
+                for u, h in enumerate(held):
+                    seen = 0
+                    for mask in h:
+                        twice[u] |= seen & mask
+                        seen |= mask
+                    assert (suf[u][pending[u]], suf2[u][pending[u]]) == (seen, twice[u])
+                charge = [cost(supports[u] & ~(cover[u] | suf[u][pending[u]]))
+                          for u in range(k)]
+                # the same bound, with every undecided chooser and head
+                every_holder = [(supports[v], tuple(out_nbrs[v])) for v in choosers[t:]]
+                by_definition = (every_holder, cover, [[mask] for mask in twice], [0] * k, 0, inf)
+                if distinct:
+                    bound = _lone_heads_bound(holders, cover, suf2, pending,
+                                              first_holder[t], inf, charge=charge)
+                    assert bound == _lone_heads_bound(*by_definition, charge=charge)
+                else:
+                    bound = _lone_rows_bound(holders, cover, suf2, pending,
+                                             first_holder[t], inf)
+                    assert bound == _lone_rows_bound(*by_definition)
+                best = min(value for b, value in zip(every, values)
+                           if all(b.choice[v] == c for v, c in prefix.items()))
+                assert sum(charge) + bound <= best
+                nodes += 1
+                positive += bound > 0
+    assert nodes >= 1500 and positive >= 250
+
+
+def test_lone_holder_bound_at_the_root_of_ib_reductions(monkeypatch):
+    # every edge's row is lone at both endpoint triples of its singleton,
+    # which relieves it at one of them: with the look-ahead's |E| source
+    # rows, the root bound on rows is the optimum 2|E|.  For distinct rows
+    # a singleton whose two triples are both fresh leaves one of them
+    # irreducible, so the bound adds a matching of the graph, here a
+    # perfect one.  The exact search computes the same root bound first
+    seen = []
+
+    def spying(bound):
+        def spy(*args, **kwargs):
+            seen.append(bound(*args, **kwargs))
+            return seen[-1]
+        return spy
+
+    monkeypatch.setattr(cfrs.branching, "_lone_rows_bound", spying(_lone_rows_bound))
+    monkeypatch.setattr(cfrs.branching, "_lone_heads_bound", spying(_lone_heads_bound))
+    for graph in (k4(), prism(5, 1), prism(6, 1)):
+        d = build_containment(gen_ib_reduction(graph))
+        out_nbrs = [d.out(v) for v in range(d.n)]
+        choosers = [v for v in reference_decision_order(d) if out_nbrs[v]]
+        suf, suf2, holders, _ = _suffix_tables(d.supports, out_nbrs, choosers)
+        pending = [len(s) - 1 for s in suf]
+        args = (holders, [0] * d.n, suf2, pending, 0, inf)
+        for distinct, solve, cost, extra in (
+                (False, exact_min_uncovered, int.bit_count, len(graph.edges)),
+                (True, exact_min_irreducible, bool, graph.n // 2)):
+            charge = [cost(d.supports[u] & ~suf[u][-1]) for u in range(d.n)]
+            bound = (_lone_heads_bound(*args, charge=charge) if distinct
+                     else _lone_rows_bound(*args))
+            assert sum(charge) == len(graph.edges) and bound == extra
+            seen.clear()
+            solve(d, budget=branching_state_count(d))
+            assert seen[0] == bound  # the search's first bound is the root's
+
+
+def test_exact_on_ib_prisms_beyond_the_default_budget():
+    # 2|E| rows and |E| + tau distinct rows, as on the benchmark's ib inputs;
+    # the lone-holder bound proves the row optimum at the root
+    for n in (6, 7):
+        graph = prism(n, 1)
+        matrix = gen_ib_reduction(graph)
+        d = build_containment(matrix)
+        states = branching_state_count(d)
+        assert states > DEFAULT_BUDGET
+        tau = brute_force_vertex_cover(graph)
+        for solve, kept, optimum in (
+                (exact_min_uncovered, uncovered_pairs, 2 * len(graph.edges)),
+                (exact_min_irreducible, irreducible_vertices, len(graph.edges) + tau)):
+            branching, value = solve(d, budget=states)
+            assert value == len(kept(d, branching)) == optimum
+            assert verify_row_split(matrix, branching_split(matrix, branching, d)).ok
+
+
+def test_exact_rows_on_sparse_random_matrices():
+    # the optima and first optimal branchings of the search before the
+    # lone-holder bound, which took about a second on seed 0
+    pinned = {0: (400, "931f44fa120fc1b86485f5ea2ac8f2d96e0da1610fca53c6e837ec2768830b2a"),
+              1: (396, "552bcdcadf7ca54f6c52e2f9da5d7cdea99d3ececef702f510256ac771c7e6a1")}
+    for seed, (rows, digest) in pinned.items():
+        d = build_containment(gen_random(50, 100, 0.08, seed))
+        branching, value = exact_min_uncovered(d, budget=branching_state_count(d))
+        assert value == len(uncovered_pairs(d, branching)) == rows
+        assert hashlib.sha256(repr(branching.choice).encode()).hexdigest() == digest
 
 
 def test_exact_search_runs_deeper_than_the_recursion_limit():
