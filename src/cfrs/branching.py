@@ -323,19 +323,23 @@ def _exact_minimize(digraph: ContainmentDigraph, distinct: bool,
     None-free branch-and-bound, primed with the empty branching and two
     greedy ones, that enters a subtree only while its bound is below the
     incumbent, and stops at a leaf costing no more than the root's bound:
-    it proves the optimum OPT and yields an optimal witness W.  Pass 2
-    descends the decision order, keeping W in agreement with the choices
-    made so far.  At each chooser it takes the first option, None first,
-    whose subtree holds a leaf of cost OPT, which W's own option does.  An
-    earlier option is skipped when its bound exceeds OPT.  It is taken at
-    once when moving only this chooser of W to it keeps W's cost at OPT: a
-    move from head a to head b changes only a's and b's costs.  Otherwise
-    a None-free subsearch of the later choosers, primed at OPT + 1, trying
-    W's options first and stopped at its first leaf, decides it, and that
-    leaf becomes W.  The descent thus ends at the lexicographically first
-    optimal leaf, the one a single full search would return, whichever
-    optimal W pass 1 found.  Both passes run on one state, changed and
-    restored in place.
+    it proves the optimum OPT, and it enters every subtree holding a leaf
+    of cost OPT until it finds one, so its witness W is the first optimal
+    None-free leaf in index order.  Pass 2 descends the decision order,
+    keeping W the first optimal None-free completion of the choices made
+    so far.  At chooser v, an out-neighbor before W's arc a has no optimal
+    completion: turning its None choices into arcs would give an optimal
+    None-free one before W.  So v asks only whether None's subtree holds
+    a leaf of cost OPT, and takes a when it does not.  None is ruled out
+    when its bound exceeds OPT.  It is taken at once when moving v in W
+    from a to None keeps W at OPT, which changes only a's cost; W stays
+    first, since a tail optimal under None is optimal under a.  Otherwise
+    a None-free subsearch of the later choosers in index order, primed at
+    OPT + 1 and stopped at its first leaf, decides: that leaf becomes W,
+    and with no leaf v takes a.  The descent thus ends at the first
+    optimal leaf of the full search order, the one a single full search
+    would return.  Both passes run on one state, changed and restored in
+    place.
     """
     k = digraph.n
     states = branching_state_count(digraph)
@@ -410,13 +414,12 @@ def _exact_minimize(digraph: ContainmentDigraph, distinct: bool,
             cover[choice[v]] = saved[t]
         choice[v] = None
 
-    def search(t0: int, bound: int, floor: int,
-               start: list[int]) -> tuple[Optional[tuple], int]:
+    def search(t0: int, bound: int, floor: int) -> tuple[Optional[tuple], int]:
         """None-free depth-first over choosers[t0:] from the state at depth
-        t0; depth t tries the out-neighbors of choosers[t] cyclically from
-        index ``start[t]``.  The first leaf below ``bound`` becomes the
-        incumbent, and the search stops once it costs at most ``floor``.
-        The state is restored."""
+        t0, each trying its out-neighbors in index order.  The first leaf
+        below ``bound`` becomes the incumbent, and the search stops once it
+        costs at most ``floor``; with ``bound`` = ``floor`` + 1 that is the
+        first leaf costing at most ``floor``.  The state is restored."""
         best = None
         t = t0
         while t >= t0:
@@ -445,7 +448,7 @@ def _exact_minimize(digraph: ContainmentDigraph, distinct: bool,
                 t -= 1
                 continue
             tried[t] = s + 1
-            c = choice[v] = nbrs[(start[t] + s) % len(nbrs)]
+            c = choice[v] = nbrs[s]
             saved[t] = cover[c]
             cover[c] |= supports[v]
             delta = 0
@@ -467,12 +470,10 @@ def _exact_minimize(digraph: ContainmentDigraph, distinct: bool,
 
     # a leaf at the root's lower bound is optimal
     floor = acc[0] + beyond(0, bound - acc[0])
-    found, opt = search(0, bound, floor, [0] * depth)
+    found, opt = search(0, bound, floor)
     if found is None:
         raise InternalError("exact search ended without reaching its primed bound")
-    # pass 2; W agrees with the choices made so far: ``start[t]`` is the
-    # index of W's out-neighbor at each later depth t, and ``into[h]`` the
-    # set of vertices choosing h in W
+    # pass 2: ``found`` is W, and ``into[h]`` the set of vertices choosing h in W
     def chosen_by(branching: Sequence[Optional[int]]) -> list[int]:
         masks = [0] * k
         for u, h in enumerate(branching):
@@ -480,37 +481,23 @@ def _exact_minimize(digraph: ContainmentDigraph, distinct: bool,
                 masks[h] |= 1 << u
         return masks
 
-    def relief(h: int, v: int) -> int:
-        """How much v choosing h lowers h's cost, W's other choices fixed."""
-        rest = reduce(or_, select(supports, into[h] & ~(1 << v)), 0)
-        return cost(supports[h] & ~rest) - cost(supports[h] & ~(rest | supports[v]))
-
     into = chosen_by(found)
-    start = [out_nbrs[v].index(found[v]) for v in choosers]
     for t, v in enumerate(choosers):
-        a = out_nbrs[v][start[t]]
-        for c in (None, *out_nbrs[v][:start[t]]):
-            delta = decide(t, c)
-            lower = acc[t] + delta
-            if lower <= opt and (first_holder[t + 1] == n_holders
-                                 or lower + beyond(first_holder[t + 1], opt + 1 - lower) <= opt):
-                # moving v in W from head a to c changes only a's and c's costs
-                if relief(a, v) == (0 if c is None else relief(c, v)):
-                    into[a] ^= 1 << v
-                    if c is not None:
-                        into[c] |= 1 << v
-                    break
-                acc[t + 1] = acc[t] + delta
-                leaf = search(t + 1, opt + 1, opt, start)[0]
-                if leaf is not None:
-                    into = chosen_by(leaf)
-                    start[t + 1:] = [out_nbrs[u].index(leaf[u])
-                                     for u in choosers[t + 1:]]
-                    break
-            undecide(t)
-        else:
-            delta = decide(t, a)
-        acc[t + 1] = acc[t] + delta
+        lower = acc[t + 1] = acc[t] + decide(t, None)
+        if lower <= opt and (first_holder[t + 1] == n_holders
+                             or lower + beyond(first_holder[t + 1], opt + 1 - lower) <= opt):
+            # moving v in W from head a to None changes only a's cost
+            a = found[v]
+            rest = reduce(or_, select(supports, into[a] ^ 1 << v), 0)
+            if cost(supports[a] & ~rest) == cost(supports[a] & ~(rest | supports[v])):
+                into[a] ^= 1 << v
+                continue
+            leaf = search(t + 1, opt + 1, opt)[0]
+            if leaf is not None:
+                found, into = leaf, chosen_by(leaf)
+                continue
+        undecide(t)
+        acc[t + 1] = acc[t] + decide(t, found[v])
     best = tuple(choice)
     if total(best) != opt:
         raise InternalError(f"exact search's descent ended at a branching costing "

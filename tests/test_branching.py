@@ -349,15 +349,23 @@ def test_exact_matches_reference_on_differential_corpus():
     # that move, 1 can no longer leave vertex 0 without uncovering row 1
     shared_head = BinaryMatrix(((0, 0, 1, 1, 0, 0), (1, 1, 0, 0, 1, 0),
                                 (1, 1, 1, 0, 0, 1), (1, 0, 1, 0, 0, 1)))
+    # On these two, a descent that skips the arcs before the witness's but
+    # runs its subsearches from the witness's arcs onward ends at a later
+    # distinct optimum.  The first has 121,651,200 branchings, beyond the
+    # default budget, so both are solved with a budget of their own size
+    witness_first = [BinaryMatrix(rows.split()) for rows in (
+        "0011101001110010 1101100100010111 0100001001011010 0000100010011001 0101111010111101",
+        "1010001010101011 1110111000000100 1000000100101010 0000000001010100 0011000110100100")]
     solved = 0
-    for matrix in differential_corpus() + [shared_head]:
+    for matrix in differential_corpus() + [shared_head] + witness_first:
         d = build_containment(matrix)
-        if branching_state_count(d) > DEFAULT_BUDGET:
+        budget = branching_state_count(d)
+        if budget > DEFAULT_BUDGET and matrix not in witness_first:
             continue
         for solve, cost in ((exact_min_uncovered, int.bit_count),
                             (exact_min_irreducible, bool)):
             expected = reference_exact_minimize(d, cost)
-            assert solve(d) == expected
+            assert solve(d, budget=budget) == expected
             if cost is bool:
                 assert reference_lookahead_minimize(d, cost) == expected
             solved += 1
@@ -508,16 +516,78 @@ def test_exact_on_ib_prisms_beyond_the_default_budget():
             assert verify_row_split(matrix, branching_split(matrix, branching, d)).ok
 
 
-def test_exact_rows_on_sparse_random_matrices():
-    # the optima and first optimal branchings of the search before the
-    # lone-holder bound, which took about a second on seed 0
-    pinned = {0: (400, "931f44fa120fc1b86485f5ea2ac8f2d96e0da1610fca53c6e837ec2768830b2a"),
-              1: (396, "552bcdcadf7ca54f6c52e2f9da5d7cdea99d3ececef702f510256ac771c7e6a1")}
-    for seed, (rows, digest) in pinned.items():
-        d = build_containment(gen_random(50, 100, 0.08, seed))
-        branching, value = exact_min_uncovered(d, budget=branching_state_count(d))
-        assert value == len(uncovered_pairs(d, branching)) == rows
+def test_exact_first_optima_beyond_the_reference():
+    # optima and sha256 digests of the first optimal branchings, computed
+    # once with earlier versions of the search: the sparse random ones
+    # before the lone-holder bound, which took about a second on seed 0,
+    # the rest before the descent tested None alone.  The 10-prism's vc
+    # reduction runs the descent's failing None subsearches, and the
+    # laminar matrix makes 90 one-move shortcuts
+    pinned = (
+        (gen_random(50, 100, 0.08, 0), exact_min_uncovered, uncovered_pairs, 400,
+         "931f44fa120fc1b86485f5ea2ac8f2d96e0da1610fca53c6e837ec2768830b2a"),
+        (gen_random(50, 100, 0.08, 1), exact_min_uncovered, uncovered_pairs, 396,
+         "552bcdcadf7ca54f6c52e2f9da5d7cdea99d3ececef702f510256ac771c7e6a1"),
+        (gen_vc_reduction(prism(8, 1)), exact_min_uncovered, uncovered_pairs, 136,
+         "7c897f2419425eaca5f59b8823077bd9099bed3da69199ac678e1f65ebea55e2"),
+        (gen_vc_reduction(prism(10, 1)), exact_min_uncovered, uncovered_pairs, 170,
+         "28149412f1d818f2f03f471dbc3d462342d1cf816d84a237fb298698455f0435"),
+        (gen_random_laminar(300, 450, 0), exact_min_irreducible, irreducible_vertices, 293,
+         "c69c7b214b1ba7009d88849cd750eb8104a51c3fca99f29b2dbecc43e05850ac"),
+    )
+    for matrix, solve, kept, optimum, digest in pinned:
+        d = build_containment(matrix)
+        branching, value = solve(d, budget=branching_state_count(d))
+        assert value == len(kept(d, branching)) == optimum
         assert hashlib.sha256(repr(branching.choice).encode()).hexdigest() == digest
+
+
+def test_arcs_before_the_first_optimal_arc_only_completion_lead_to_no_optimum():
+    # the lemma the descent rests on.  At a random prefix of choices (None
+    # allowed), let W be the first cheapest completion without None in the
+    # search order.  No out-neighbor before W's at the next chooser v has
+    # a cheapest completion, None allowed.  When moving v in W to None
+    # keeps W cheapest, W so moved is the first cheapest completion
+    # without None after v's None
+    rng = random.Random(1721)
+    checked = earlier_arcs = moves = 0
+    for matrix in exact_corpus() + differential_corpus():
+        d = build_containment(matrix)
+        if not enumerable(d, cap=2000):
+            continue
+        out_nbrs = [d.out(v) for v in range(d.n)]
+        choosers = [v for v in reference_decision_order(d) if out_nbrs[v]]
+        if not choosers:
+            continue
+        every = [b.choice for b in iter_branchings(d)]
+        for kept in (uncovered_pairs, irreducible_vertices):
+            value = {choice: len(kept(d, Branching(choice))) for choice in every}
+            for _ in range(24):
+                t = rng.randrange(len(choosers))
+                v, later = choosers[t], choosers[t + 1:]
+                prefix = {u: rng.choice((None, *out_nbrs[u])) for u in choosers[:t]}
+                completions = [choice for choice in every
+                               if all(choice[u] == c for u, c in prefix.items())]
+                best = min(value[choice] for choice in completions)
+
+                def first_arc_only(choices):
+                    return min((choice for choice in choices if value[choice] == best
+                                and all(choice[u] is not None for u in later)),
+                               key=lambda choice: [(None, *out_nbrs[u]).index(choice[u])
+                                                   for u in choosers[t:]], default=None)
+
+                witness = first_arc_only(c for c in completions if c[v] is not None)
+                a = witness[v]
+                for c in out_nbrs[v][:out_nbrs[v].index(a)]:
+                    assert all(value[choice] > best for choice in completions
+                               if choice[v] == c)
+                    earlier_arcs += 1
+                moved = witness[:v] + (None,) + witness[v + 1:]
+                if value[moved] == best:
+                    assert first_arc_only(c for c in completions if c[v] is None) == moved
+                    moves += 1
+                checked += 1
+    assert checked >= 6000 and earlier_arcs >= 300 and moves >= 2000
 
 
 def test_exact_search_runs_deeper_than_the_recursion_limit():
