@@ -4,6 +4,8 @@ A :class:`Dag` stores out- and in-neighbour bitsets, the latter derived on
 first use.  The containment digraph of a matrix has one vertex per distinct
 column support and an arc (u, v) for every proper inclusion u < v, so it is
 acyclic and transitively closed by construction; a plain Dag checks cycles.
+A conflict-free matrix's supports form a tree, and its digraph costs one OR
+per support; others AND the holder bitsets of every support's rows.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from operator import and_, or_
 from typing import Iterable
 
 from .matching import maximum_bipartite_matching
-from .matrix import BinaryMatrix, bits_of, reduce_columns, select, transpose
+from .matrix import (BinaryMatrix, _laminar_tree, bits_of, reduce_columns, select,
+                     transpose)
 
 
 class Dag:
@@ -107,6 +110,12 @@ class ContainmentDigraph(Dag):
     Vertex i is the support of the i-th distinct column (first-appearance
     order), stored as a bitset over row indices; arcs are all proper
     inclusions.  ``class_of`` maps original columns to vertices.
+
+    The build first runs the sweep of :func:`~cfrs.matrix.build_phylogeny`,
+    O(k + m) mask operations.  A laminar family's supersets of a support are
+    its ancestors in that tree, so visiting the supports by decreasing size
+    costs one OR per support.  Only a family with a crossing pair pays for
+    the holder AND, one AND per (row, support) incidence.
     """
 
     def __init__(self, supports: tuple[int, ...], n_rows: int,
@@ -114,13 +123,20 @@ class ContainmentDigraph(Dag):
         k = len(supports)
         if len(set(supports)) != k or 0 in supports:
             raise ValueError("vertex supports must be distinct and nonempty")
-        # support i lies in the supports holding each of its rows; proper
-        # inclusion grows the support, so no cycle and no Kahn pass
-        holders = transpose(supports, n_rows)
+        # proper inclusion grows the support, so no cycle and no Kahn pass
+        tree = _laminar_tree(supports, n_rows)
+        if tree is None:  # support i lies in the supports holding its rows
+            holders = transpose(supports, n_rows)
+            out = tuple(reduce(and_, select(holders, mask), -1) ^ (1 << i)
+                        for i, mask in enumerate(supports))
+        else:  # the supersets of a support are its ancestors: parents first
+            node_masks, parent, _ = tree
+            up = [0] * (k + 1)  # node v's ancestors, bit u for node u
+            for v in sorted(range(1, k + 1), key=lambda u: -node_masks[u].bit_count()):
+                up[v] = up[parent[v]] | 1 << parent[v]
+            out = tuple(mask >> 1 for mask in up[1:])  # node v is vertex v - 1
         self.n = k
-        self.out_masks = self.reach = tuple(  # transitively closed
-            reduce(and_, select(holders, mask), -1) ^ (1 << i)
-            for i, mask in enumerate(supports))
+        self.out_masks = self.reach = out  # transitively closed
         self.supports = tuple(supports)
         self.n_rows = n_rows
         self.class_of = tuple(class_of)

@@ -6,11 +6,11 @@ and messages name row i "r{i+1}" and column j "c{j+1}".  A matrix is stored
 as one int bitset per row (bit j for column j); column supports are bitsets
 over row indices, so inclusion tests, row ORs and validation each cost one
 mask operation.  :func:`transpose` turns one kind into the other with a
-word-parallel bit-matrix transpose, and the conflict check and the phylogeny
-share one sweep over the distinct supports by increasing size, which writes
-each row's tree node once.  The conflict check sweeps the supports over the
-distinct rows only, so a row that repeats costs one hash.  Dense 0/1 row
-tuples are built only on request.
+word-parallel bit-matrix transpose, and the conflict check, the phylogeny
+and the containment digraph share one sweep over the distinct supports by
+increasing size, which writes each row's tree node once.  The conflict
+check sweeps the supports over the distinct rows only, so a row that
+repeats costs one hash.  Dense 0/1 row tuples are built only on request.
 Passes over whole digraphs pick the items a mask names with :func:`select`,
 in C steps; search loops, with small or sparse masks, walk :func:`bits_of`.
 """
@@ -404,7 +404,9 @@ class PhyloTree:
 
 def _laminar_tree(supports: Sequence[int], m: int) -> Optional[tuple]:
     """The sweep of :func:`build_phylogeny` over nonempty supports of m rows:
-    ``(node_masks, parent, row_node)`` of its tree, or None if not laminar."""
+    ``(node_masks, parent, row_node)`` of its tree, or None if not laminar.
+    O(k + m) mask operations; :func:`find_conflict` and the containment
+    digraph's build run it too."""
     node_masks = ((1 << m) - 1,) + tuple(dict.fromkeys(supports))
     parent: list[Optional[int]] = [None] + [0] * (len(node_masks) - 1)
     top = list(range(len(node_masks)))  # union-find towards each tree's top

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import cfrs.containment
 from cfrs import (
     Dag,
     build_containment,
@@ -13,7 +14,7 @@ from cfrs import (
     maximum_antichain,
     width,
 )
-from cfrs.matrix import BinaryMatrix, bits_of, mask_of
+from cfrs.matrix import BinaryMatrix, bits_of, mask_of, transpose
 
 from tests.helpers import (
     CROSSING_PAIR,
@@ -31,6 +32,8 @@ from tests.helpers import (
     reference_kahn_order,
     reference_width,
     transitive_closure,
+    with_last_pair_crossing,
+    with_repeated_rows,
 )
 from tests.strategies import dags
 
@@ -177,6 +180,60 @@ def test_containment_masks_match_pairwise_reference_across_words():
         assert d.supports == supports
         _check_against_reference(d, arcs, arcs)
         assert width(d) == len(maximum_antichain(d))
+
+
+def _top_pair_crossing(matrix):
+    """Two new columns, each every old row plus its own new row: they cross,
+    and the sweep fails at the last support it visits."""
+    full = (1 << matrix.m) - 1
+    return BinaryMatrix.from_col_masks(
+        matrix.m + 2, matrix.col_masks + (full | 1 << matrix.m, full | 2 << matrix.m))
+
+
+def _tree_path_corpus():
+    rng = random.Random(2291)
+    laminar = [gen_random_laminar(m, k, seed) for seed in range(24)
+               for m, k in ((1, 1), (seed + 2, 1), (seed + 2, 2 * seed + 3),
+                            (3 * seed + 5, rng.randint(1, 6 * seed + 9)))]
+    laminar += [nested_prefix(m, random.Random(m)) for m in (1, 63, 64, 65, 130)]
+    laminar += [gen_block_tree(2, 5), gen_block_tree(3, 3), gen_block_tree(5, 2),
+                BinaryMatrix.from_col_masks(3, (0b111, 0b001, 0b011))]  # root first
+    laminar += [duplicate_column(matrix, rng.randrange(matrix.n)) for matrix in laminar[::5]]
+    laminar += [with_repeated_rows(matrix, rng) for matrix in laminar[::7]]
+    crossed = [cross(matrix) for cross in (with_last_pair_crossing, _top_pair_crossing)
+               for matrix in laminar[::3]]
+    return laminar, crossed
+
+
+def test_tree_and_holder_and_builds_match_pairwise_reference(monkeypatch):
+    # laminar input takes the phylogeny-tree build, crossed input the
+    # holder AND; forced onto the holder AND, both give the same masks
+    laminar, crossed = _tree_path_corpus()
+    built = []
+    for matrix in laminar + crossed:
+        supports, arcs = reference_containment(matrix)
+        d = build_containment(matrix)
+        assert d.supports == supports
+        assert d.out_masks == _masks(d.n, arcs, 0)
+        built.append(d.out_masks)
+    monkeypatch.setattr(cfrs.containment, "_laminar_tree", lambda supports, m: None)
+    assert [build_containment(matrix).out_masks for matrix in laminar + crossed] == built
+
+
+def test_only_a_crossing_pair_reaches_the_holder_and(monkeypatch):
+    calls = []
+    def spy(masks, size):
+        calls.append(size)
+        return transpose(masks, size)
+    monkeypatch.setattr(cfrs.containment, "transpose", spy)
+    laminar, crossed = _tree_path_corpus()
+    for matrix in laminar:
+        build_containment(matrix)
+    assert calls == []
+    for matrix in crossed:
+        calls.clear()
+        build_containment(matrix)
+        assert calls == [matrix.m]
 
 
 def test_plain_dag_masks_match_reference_on_random_arc_lists():

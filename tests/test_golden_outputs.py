@@ -8,7 +8,9 @@ stdout, and the ``tree`` and ``digraph`` DOT files.  A second corpus of
 wider matrices, whose row or column counts cross multiples of 64, pins
 ``analyze`` stdout and the ``tree`` and ``digraph`` DOT files, plus one
 ``height`` solve; one of them is sparse (3 % ones), so the row-name labels
-come from both sides of the bit-selection kernel's density cutoff.  The
+come from both sides of the bit-selection kernel's density cutoff.  Two of
+them are at benchmark scale: a row-shuffled nested prefix of 300 columns
+(44,850 containment arcs) and a laminar 1000x1500 matrix (12,950 arcs).  The
 elapsed time goes to stderr and is not compared.
 
 A change that is meant to alter an output regenerates the digests with
@@ -24,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -39,7 +42,7 @@ from cfrs import (
 from cfrs.cli import METHODS, main
 from cfrs.io import format_matrix
 
-from tests.helpers import k4
+from tests.helpers import k4, nested_prefix
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
@@ -70,6 +73,8 @@ def wide_corpus() -> dict[str, BinaryMatrix]:
         "random-70x130": gen_random(70, 130, 0.5, 0),
         "laminar-100x150": gen_random_laminar(100, 150, 0),
         "sparse-random-70x130": gen_random(70, 130, 0.03, 0),
+        "shuffled-nested-prefix-300": nested_prefix(300, random.Random(300)),
+        "laminar-1000x1500": gen_random_laminar(1000, 1500, 0),
     }
 
 
