@@ -111,9 +111,10 @@ class ContainmentDigraph(Dag):
     order), stored as a bitset over row indices; arcs are all proper
     inclusions.  ``class_of`` maps original columns to vertices.
 
-    The build first runs the sweep of :func:`~cfrs.matrix.build_phylogeny`,
-    O(k + m) mask operations.  A laminar family's supersets of a support are
-    its ancestors in that tree, so visiting the supports by decreasing size
+    The build first runs the sweep of :func:`~cfrs.matrix.build_phylogeny`:
+    a sort of the k supports plus O(k + m) steps, each an operation on an
+    m-bit mask.  A laminar family's supersets of a support are its
+    ancestors in that tree, so visiting the supports by decreasing size
     costs one OR per support.  Only a family with a crossing pair pays for
     the holder AND, one AND per (row, support) incidence.
     """

@@ -405,8 +405,9 @@ class PhyloTree:
 def _laminar_tree(supports: Sequence[int], m: int) -> Optional[tuple]:
     """The sweep of :func:`build_phylogeny` over nonempty supports of m rows:
     ``(node_masks, parent, row_node)`` of its tree, or None if not laminar.
-    O(k + m) mask operations; :func:`find_conflict` and the containment
-    digraph's build run it too."""
+    A sort of the k supports plus O(k + m) steps, each an operation on an
+    m-bit mask; :func:`find_conflict` and the containment digraph's build
+    run it too."""
     node_masks = ((1 << m) - 1,) + tuple(dict.fromkeys(supports))
     parent: list[Optional[int]] = [None] + [0] * (len(node_masks) - 1)
     top = list(range(len(node_masks)))  # union-find towards each tree's top

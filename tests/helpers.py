@@ -794,7 +794,8 @@ def reference_maximum_bipartite_matching(adj, n_right):
 def reference_split_to_branching(matrix: BinaryMatrix, split) -> Branching:
     """The branching of a verified conflict-free split, as it was found
     before the phylogeny sweep: the elementary arcs of the containment
-    digraph of the split's columns on the source's representative columns."""
+    digraph of the split's columns on the source's representative columns,
+    its inclusions found by comparing all pairs."""
     verdict = verify_row_split(matrix, split)
     if not verdict:
         raise MatrixError(f"not a conflict-free row split: {verdict.reason}")
@@ -803,7 +804,8 @@ def reference_split_to_branching(matrix: BinaryMatrix, split) -> Branching:
     split_masks = tuple(split.matrix.col_masks[j] for j in red.representative)
     if len(set(split_masks)) != k:
         raise InternalError("two distinct source columns coincide in a verified split")
-    elem = elementary_arcs(ContainmentDigraph(split_masks, split.matrix.m, tuple(range(k))))
+    elem = elementary_arcs(Dag(k, ((i, j) for i in range(k) for j in range(k)
+                                   if i != j and split_masks[i] & ~split_masks[j] == 0)))
     choice = [None] * k
     for i, j in sorted(elem):
         if choice[i] is not None:
