@@ -313,15 +313,15 @@ def _exact_minimize(digraph: ContainmentDigraph, distinct: bool,
     distinct rows): a row that only one undecided in-neighbor c of u holds
     and that u's cover lacks is relieved at u only if c picks u, and c
     picks one head.  Its pairs are disjoint from the look-ahead's and from
-    other choosers', so the sum is still a lower bound.  It is computed
-    only while undecided holders remain (see :func:`_suffix_tables`), and
-    stops once it closes the gap to the incumbent.
+    other choosers', so the sum is still a lower bound.  It stops once it
+    closes the gap to the incumbent, and the bounds return 0 once none
+    remain of the undecided holders (see :func:`_suffix_tables`).
 
     Choosing an arc only grows ``cover`` at its head and ``cost`` is
     monotone, so a None choice is never cheaper than an out-arc, and the
     minimum of any subtree equals that of its None-free part.  Pass 1 is a
-    None-free branch-and-bound, primed with the empty branching and two
-    greedy ones, that enters a subtree only while its bound is below the
+    None-free branch-and-bound, primed by the smallest-superset greedy
+    branching, that enters a subtree only while its bound is below the
     incumbent, and stops at a leaf costing no more than the root's bound:
     it proves the optimum OPT, and it enters every subtree holding a leaf
     of cost OPT until it finds one, so its witness W is the first optimal
@@ -355,20 +355,12 @@ def _exact_minimize(digraph: ContainmentDigraph, distinct: bool,
     def total(choice: tuple[Optional[int], ...]) -> int:
         return sum(map(cost, _uncovered(supports, choice)))
 
-    smallest = tuple(
-        min(out_nbrs[v], key=lambda u: (supports[u].bit_count(), u))
-        if out_nbrs[v] else None
-        for v in range(k)
-    )
-    largest = tuple(
-        max(out_nbrs[v], key=lambda u: (supports[u].bit_count(), -u))
-        if out_nbrs[v] else None
-        for v in range(k)
-    )
-    bound = min(total(c) for c in ((None,) * k, smallest, largest)) + 1
+    smallest = tuple(min(nbrs, key=lambda u: (supports[u].bit_count(), u)) if nbrs else None
+                     for nbrs in out_nbrs)
+    bound = total(smallest) + 1
 
     suf, suf2, holders, first_holder = _suffix_tables(supports, out_nbrs, choosers)
-    depth, n_holders = len(choosers), len(holders)
+    depth = len(choosers)
 
     # the state: depth t decides choosers[t]; ``acc[t]`` is the charged
     # total on entering depth t and ``tried[t]`` the number of
@@ -433,33 +425,17 @@ def _exact_minimize(digraph: ContainmentDigraph, distinct: bool,
                         break
                 t -= 1
                 continue
-            v = choosers[t]
-            nbrs, old = out_nbrs[v], olds[t]
-            # undecide and decide, inlined: calling them here took up to
-            # twice as long on the larger searches
+            nbrs = out_nbrs[choosers[t]]
             s = tried[t]
             if s:  # undo the out-neighbor taken last
-                for j, u in enumerate(nbrs):
-                    pending[u] += 1
-                    charge[u] = old[j]
-                cover[choice[v]] = saved[t]
+                undecide(t)
             if s == len(nbrs):
                 tried[t] = 0
                 t -= 1
                 continue
             tried[t] = s + 1
-            c = choice[v] = nbrs[s]
-            saved[t] = cover[c]
-            cover[c] |= supports[v]
-            delta = 0
-            for j, u in enumerate(nbrs):
-                pending[u] -= 1
-                old[j] = charge[u]
-                charge[u] = cost(supports[u] & ~(cover[u] | suf[u][pending[u]]))
-                delta += charge[u] - old[j]
-            lower = acc[t] + delta
-            if lower < bound and (first_holder[t + 1] == n_holders
-                                  or lower + beyond(first_holder[t + 1], bound - lower) < bound):
+            lower = acc[t] + decide(t, nbrs[s])
+            if lower < bound and lower + beyond(first_holder[t + 1], bound - lower) < bound:
                 acc[t + 1] = lower
                 t += 1
         while t > t0:
@@ -484,8 +460,7 @@ def _exact_minimize(digraph: ContainmentDigraph, distinct: bool,
     into = chosen_by(found)
     for t, v in enumerate(choosers):
         lower = acc[t + 1] = acc[t] + decide(t, None)
-        if lower <= opt and (first_holder[t + 1] == n_holders
-                             or lower + beyond(first_holder[t + 1], opt + 1 - lower) <= opt):
+        if lower <= opt and lower + beyond(first_holder[t + 1], opt + 1 - lower) <= opt:
             # moving v in W from head a to None changes only a's cost
             a = found[v]
             rest = reduce(or_, select(supports, into[a] ^ 1 << v), 0)

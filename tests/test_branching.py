@@ -97,6 +97,8 @@ def test_branching_split_rejects_invalid_branchings():
     with pytest.raises(ValueError) as non_arc:
         branching_split(CROSSING_PAIR, branching_from_arcs(2, [(0, 1)]), D_CROSS)
     assert str(non_arc.value) == "invalid branching: (0,1) is not an arc of the digraph"
+    with pytest.raises(ValueError, match="digraph does not belong to this matrix"):
+        branching_split(CROSSING_PAIR, Branching.empty(2), D_NEST)
 
 
 def test_branching_encoding_rejects_double_tail():
@@ -522,7 +524,9 @@ def test_exact_first_optima_beyond_the_reference():
     # before the lone-holder bound, which took about a second on seed 0,
     # the rest before the descent tested None alone.  The 10-prism's vc
     # reduction runs the descent's failing None subsearches, and the
-    # laminar matrix makes 90 one-move shortcuts
+    # laminar matrix makes 90 one-move shortcuts.  The distinct objective
+    # at search-heavy sizes (10-prism's ib reduction, bt(2,8)) was pinned
+    # while pass 1 was still primed by the empty and two greedy branchings
     pinned = (
         (gen_random(50, 100, 0.08, 0), exact_min_uncovered, uncovered_pairs, 400,
          "931f44fa120fc1b86485f5ea2ac8f2d96e0da1610fca53c6e837ec2768830b2a"),
@@ -534,6 +538,12 @@ def test_exact_first_optima_beyond_the_reference():
          "28149412f1d818f2f03f471dbc3d462342d1cf816d84a237fb298698455f0435"),
         (gen_random_laminar(300, 450, 0), exact_min_irreducible, irreducible_vertices, 293,
          "c69c7b214b1ba7009d88849cd750eb8104a51c3fca99f29b2dbecc43e05850ac"),
+        (gen_ib_reduction(prism(10, 1)), exact_min_irreducible, irreducible_vertices, 40,
+         "a2cd14ec479fd78e5b7bcf558efd048cf21f467d60efb61a2a010e95dc1058c6"),
+        (gen_block_tree(2, 8), exact_min_uncovered, uncovered_pairs, 128,
+         "6beab357dcc22dab3e47e8963642fe868b6a881f4f24f897dfc3fe1b0ca30e3e"),
+        (gen_block_tree(2, 8), exact_min_irreducible, irreducible_vertices, 128,
+         "6beab357dcc22dab3e47e8963642fe868b6a881f4f24f897dfc3fe1b0ca30e3e"),
     )
     for matrix, solve, kept, optimum, digest in pinned:
         d = build_containment(matrix)
@@ -623,6 +633,8 @@ def test_linear_chain_bijection():
     assert chains_from_linear(b) == ((0, 1),)
     with pytest.raises(ValueError):
         chains_from_linear(Branching((2, 2, None)))
+    with pytest.raises(ValueError, match=r"chains must partition the vertices 0\.\.k-1"):
+        linear_from_chains(((0, 1), (1,)))
 
 
 def test_linear_branchings_price_identity():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 import cfrs.containment
 from cfrs import (
+    ContainmentDigraph,
     Dag,
     build_containment,
     gen_block_tree,
@@ -47,6 +48,9 @@ def test_dag_rejects_cycles_and_bad_arcs():
         Dag(2, [(0, 2)])
     with pytest.raises(ValueError, match="vertex count must be non-negative"):
         Dag(-1)
+    for supports in ((0b01, 0b01), (0b01, 0)):  # repeated, empty
+        with pytest.raises(ValueError, match="vertex supports must be distinct and nonempty"):
+            ContainmentDigraph(supports, 1, (0, 1))
 
 
 def test_build_containment_nested():

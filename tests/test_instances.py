@@ -5,6 +5,7 @@ import pytest
 from cfrs import (
     BudgetError,
     CubicGraph,
+    MatrixError,
     build_containment,
     brute_force_vertex_cover,
     exact_min_irreducible,
@@ -53,6 +54,8 @@ def test_cubic_graph_validation():
         CubicGraph(2, ((0, 1), (0, 1), (0, 1)))  # multi-edge
     with pytest.raises(ValueError):
         CubicGraph(1, ((0, 0),) * 3)  # loop
+    with pytest.raises(ValueError, match=r"edge \(0, 2\) out of range"):
+        CubicGraph(2, ((0, 1), (0, 2)))
 
 
 def test_parse_edge_list():
@@ -61,10 +64,12 @@ def test_parse_edge_list():
     )
     graph = parse_edge_list(text)
     assert graph == k4()
-    with pytest.raises(Exception):
+    with pytest.raises(MatrixError, match="line 1: expected 'u v', got '0 1 2'"):
         parse_edge_list("0 1 2\n")
-    with pytest.raises(Exception):
+    with pytest.raises(MatrixError, match="edge list is empty"):
         parse_edge_list("")
+    with pytest.raises(MatrixError, match="graph is not cubic: vertex 0 has degree 1"):
+        parse_edge_list("0 1\n1 2\n")
 
 
 def test_vertex_cover_oracle():
@@ -142,6 +147,8 @@ def test_gen_random_laminar_cap():
         gen_random_laminar(4, 8, 0)
     with pytest.raises(ValueError):
         gen_random_laminar(4, 0, 0)
+    with pytest.raises(ValueError, match="need at least one row"):
+        gen_random_laminar(0, 1, 0)
 
 
 def test_generators_refuse_over_the_size_cap_before_building(monkeypatch):

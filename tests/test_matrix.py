@@ -255,6 +255,11 @@ def test_messages_name_rows_and_columns_by_position():
     assert verdict.reason == "split is not conflict-free: columns c1,c2 on rows r1,r2,r3"
     split = RowSplit(BinaryMatrix(((1, 0), (1, 0), (0, 1))), ((0,), (1,), (2,)))
     assert verify_row_split(CROSSING_PAIR, split).reason == "group for row r1 does not OR to it"
+    split = RowSplit(BinaryMatrix(((1, 0), (0, 1))), ((0,), (1,)))
+    assert verify_row_split(CROSSING_PAIR, split).reason == "expected 3 groups, got 2"
+    split = RowSplit(BinaryMatrix(((1, 0), (1, 0), (0, 1))), ((3,), (1,), (2,)))
+    assert verify_row_split(CROSSING_PAIR, split).reason == \
+        "group for row r1 names split row 4, out of range"
 
 
 def test_constructor_accepts_entries_int_maps_to_binary():
