@@ -146,15 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     matrix = _load_matrix(args.file)
     digraph = build_containment(matrix)
-    witness = find_conflict(matrix)
     print(f"rows: {matrix.m}")
     print(f"cols: {matrix.n}")
     print(f"distinct_cols: {digraph.n}")
     print(f"height: {height(digraph)}")
     print(f"width: {width(digraph)}")
-    print(f"conflict_free: {'yes' if witness is None else 'no'}")
-    if witness is not None:
-        print(f"conflict: {witness.describe()}")
+    print(f"conflict_free: {'yes' if digraph.laminar else 'no'}")
+    if not digraph.laminar:  # the scan over column pairs names the witness
+        print(f"conflict: {find_conflict(matrix).describe()}")
     return 0
 
 

@@ -126,6 +126,7 @@ class ContainmentDigraph(Dag):
             raise ValueError("vertex supports must be distinct and nonempty")
         # proper inclusion grows the support, so no cycle and no Kahn pass
         tree = _laminar_tree(supports, n_rows)
+        self.laminar = tree is not None  # iff the matrix is conflict-free
         if tree is None:  # support i lies in the supports holding its rows
             holders = transpose(supports, n_rows)
             out = tuple(reduce(and_, select(holders, mask), -1) ^ (1 << i)

@@ -173,7 +173,7 @@ def gen_random(m: int, n: int, density: float, seed: int) -> BinaryMatrix:
                 for i in range(m):
                     rows[i][j] = 1 if rng.random() < density else 0
         if not dirty:
-            return BinaryMatrix(tuple(tuple(row) for row in rows))
+            return BinaryMatrix(rows)
 
 
 def gen_random_laminar(m: int, k: int, seed: int) -> BinaryMatrix:

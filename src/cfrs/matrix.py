@@ -134,16 +134,27 @@ def transpose(masks: Sequence[int], size: int) -> tuple[int, ...]:
                  for c in range(size))
 
 
+def _cells(row: Iterable) -> Sequence[int]:
+    if type(row) in (tuple, list):  # not a buffer, whose memory bytes() would read
+        try:  # one C call, entries read through __index__
+            return bytes(row)
+        except (TypeError, ValueError):  # a str or float entry, or one not in 0..255
+            pass
+    return tuple(map(int, row))
+
+
 @dataclass(frozen=True, init=False)
 class BinaryMatrix:
     """Immutable 0/1 matrix with no all-zero row or column.
 
     ``BinaryMatrix(rows)`` takes rows of entries that ``int()`` maps to 0 or
-    1; :meth:`from_row_masks` and :meth:`from_col_masks` take bitsets.  The
-    matrix keeps ``row_masks`` and ``distinct_row_masks``, the distinct row
-    bitsets in first-appearance order (``row_masks`` itself when no row
-    repeats); ``rows`` (0/1 tuples) and ``col_masks`` are derived on first
-    use, unless ``from_col_masks`` supplied ``col_masks``.
+    1, an exact tuple or list of ints or bools by one ``bytes()`` call and
+    any other row (str, generator, buffer) or entry (str, float) by ``int()``
+    per entry; :meth:`from_row_masks` and :meth:`from_col_masks` take
+    bitsets.  The matrix keeps ``row_masks`` and ``distinct_row_masks``, the
+    distinct row bitsets in first-appearance order (``row_masks`` itself when
+    no row repeats); ``rows`` (0/1 tuples) and ``col_masks`` are derived on
+    first use, unless ``from_col_masks`` supplied ``col_masks``.
     Equality and hashing are by shape and entries.
     """
 
@@ -151,7 +162,7 @@ class BinaryMatrix:
     row_masks: tuple[int, ...]
 
     def __init__(self, rows: Iterable[Iterable]):
-        cells = tuple(tuple(map(int, row)) for row in rows)
+        cells = tuple(map(_cells, rows))  # every row, before any check
         if not cells or not cells[0]:
             raise MatrixError("matrix needs at least one row and one column")
         n = len(cells[0])
@@ -161,10 +172,9 @@ class BinaryMatrix:
                 raise MatrixError(f"row {i + 1} has {len(row)} entries, expected {n}")
             if row.count(0) + row.count(1) != n:
                 raise MatrixError(f"row {i + 1} contains a non-binary entry")
-            mask = int(bytes(row).translate(_DIGITS)[::-1], 2)
-            if not mask:
+            if 1 not in row:
                 raise MatrixError(f"row {i + 1} is all zeros")
-            masks.append(mask)
+            masks.append(int(bytes(row).translate(_DIGITS)[::-1], 2))
         self._set(n, tuple(masks))
 
     def _set(self, n: int, masks: tuple[int, ...]) -> None:

@@ -505,6 +505,28 @@ def reference_transpose(masks, size: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def reference_row_masks(rows) -> tuple[int, tuple[int, ...]]:
+    """The checks of ``BinaryMatrix(rows)`` as it was before rows of ints
+    went through ``bytes()``: every entry through ``int()`` first, then each
+    row checked in turn.  Returns ``(n, row_masks)`` for ``from_row_masks``,
+    which checks the columns, or raises what the constructor raised."""
+    cells = tuple(tuple(map(int, row)) for row in rows)
+    if not cells or not cells[0]:
+        raise MatrixError("matrix needs at least one row and one column")
+    n = len(cells[0])
+    masks = []
+    for i, row in enumerate(cells):
+        if len(row) != n:
+            raise MatrixError(f"row {i + 1} has {len(row)} entries, expected {n}")
+        if row.count(0) + row.count(1) != n:
+            raise MatrixError(f"row {i + 1} contains a non-binary entry")
+        mask = int(bytes(row).translate(bytes.maketrans(b"\x00\x01", b"01"))[::-1], 2)
+        if not mask:
+            raise MatrixError(f"row {i + 1} is all zeros")
+        masks.append(mask)
+    return n, tuple(masks)
+
+
 def random_branching(rng: random.Random, digraph: Dag, p_arc: float = 0.6):
     """A branching choosing, for each vertex with out-arcs, no arc or a
     uniformly random one."""

@@ -8,6 +8,7 @@ from cfrs import (
     ContainmentDigraph,
     Dag,
     build_containment,
+    find_conflict,
     gen_block_tree,
     gen_random,
     gen_random_laminar,
@@ -37,6 +38,7 @@ from tests.helpers import (
     with_repeated_rows,
 )
 from tests.strategies import dags
+from tests.test_golden_outputs import corpus, wide_corpus
 
 
 def test_dag_rejects_cycles_and_bad_arcs():
@@ -238,6 +240,14 @@ def test_only_a_crossing_pair_reaches_the_holder_and(monkeypatch):
         calls.clear()
         build_containment(matrix)
         assert calls == [matrix.m]
+
+
+def test_laminar_flag_is_the_conflict_check():
+    # `cfrs analyze` reads the flag instead of running the sweep again
+    matrices = differential_corpus() + list(corpus().values()) + list(wide_corpus().values())
+    flags = [build_containment(matrix).laminar for matrix in matrices]
+    assert flags == [find_conflict(matrix) is None for matrix in matrices]
+    assert True in flags and False in flags
 
 
 def test_plain_dag_masks_match_reference_on_random_arc_lists():

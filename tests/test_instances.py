@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from cfrs import (
     parse_edge_list,
 )
 from cfrs import instances
+from cfrs.io import format_matrix
 
 from tests.helpers import count_distinct_cols, k4, k33, q3
 
@@ -129,6 +131,16 @@ def test_gen_random_is_seeded_and_valid():
         gen_random(3, 3, 0.0, 1)
     with pytest.raises(ValueError):
         gen_random(0, 3, 0.5, 1)
+
+
+@pytest.mark.parametrize("args, digest", [
+    # the benchmark's random inputs, before their rows are permuted
+    ((60, 1500, 0.5, 0), "e66d65f0a46d03d37fc92a2080b9082fca1b3d4ba817c5a9aa072010e7241b4f"),
+    ((40, 200, 0.5, 0), "07a958779a0aec756deab1434c06f447107462548f040567b1b2d954bc21ccd1"),
+])
+def test_gen_random_output_is_pinned(args, digest):
+    text = format_matrix(gen_random(*args))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_gen_random_laminar_properties():

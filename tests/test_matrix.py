@@ -1,4 +1,6 @@
 import random
+from array import array
+from collections import namedtuple
 from functools import reduce
 from operator import and_
 
@@ -46,6 +48,7 @@ from tests.helpers import (
     reference_first_conflict,
     reference_laminar_tree,
     reference_phylogeny,
+    reference_row_masks,
     reference_transpose,
     tree_k,
     with_last_pair_crossing,
@@ -294,6 +297,87 @@ def test_constructor_accepts_entries_int_maps_to_binary():
 def test_invalid_matrices_are_rejected_with_their_reason(build, message):
     with pytest.raises(MatrixError, match=message):
         build()
+
+
+class _Bit(int):
+    pass
+
+
+_Pair = namedtuple("_Pair", "a b")
+
+
+def _constructor_cases():
+    """Row lists, each made afresh by its thunk, since a generator row is
+    spent once read."""
+    cases = [
+        # tuple and list rows of ints, bools and an int subclass
+        lambda: ((1, 0, 1), (0, 1, 1)),
+        lambda: [[1, 0], [0, 1], [1, 1]],
+        lambda: ((True, False), [False, True]),
+        lambda: [[True, 1], (0, True)],
+        lambda: [[_Bit(1), _Bit(0)], (_Bit(0), _Bit(1))],
+        lambda: [[_Bit(1), _Bit(2)]],
+        # rows that go through int() per entry
+        lambda: ["0101", "1011"],
+        lambda: ["01", "0x"],
+        lambda: [["1", "0"], ["0", "1"]],
+        lambda: [[1.0, 0.0], (0.0, 1.0)],
+        lambda: [[1.5, 0], [0, 1]],
+        lambda: [[1, 0.0], [0, 1]],
+        lambda: [(x for x in (1, 0)), (x for x in (0, 1))],
+        lambda: (row for row in ((1, 0), (0, 1))),
+        lambda: [b"\x01\x00", b"\x00\x01"],
+        lambda: [b"01", b"10"],
+        lambda: [bytearray(b"\x01\x01")],
+        lambda: [array("b", [1, 0]), array("b", [0, 1])],
+        lambda: [array("q", [1, 0]), array("q", [0, 1])],
+        lambda: [array("q", [1, 1])],
+        lambda: [memoryview(b"\x01\x01")],
+        lambda: [_Pair(1, 0), _Pair(0, 1)],
+        lambda: [[1, None]],
+        # an int given as a row
+        lambda: [(1, 0), 7],
+        lambda: [5],
+        # entries out of 0..1, in and out of 0..255
+        lambda: [[1, 2]], lambda: [(1, 255)], lambda: [[1, 256]], lambda: [(1, -1)],
+        lambda: [[1, 10**30]], lambda: [[1, 1], [1, 256], [1, 0, 1]],
+        # ragged rows, all-zero rows and columns, empty matrices
+        lambda: [[1, 1], [1]], lambda: [(1,), (1, 1)], lambda: [[1, 1], [1, 1, 1]],
+        lambda: [[1, 1], [0, 0]], lambda: [(0, 0), (1,)], lambda: [[1, 0], [1, 0]],
+        lambda: [], lambda: (), lambda: [()], lambda: [[], [1]],
+        # every row is converted before any row is checked
+        lambda: [[1, 1], [1], [1, "x"]],
+        lambda: [[1, 1], [0, 0], (1, 1.0), "11", [1, 256]],
+        lambda: [(0, 0), [1, None]],
+    ]
+    for matrix in random_corpus(30, max_side=8, seed=77):
+        cases += [lambda rows=matrix.rows: rows,
+                  lambda rows=matrix.rows: [list(row) for row in rows],
+                  lambda rows=matrix.rows: [[bool(x) for x in row] for row in rows]]
+    return cases
+
+
+def _outcome(build):
+    try:
+        matrix = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return matrix.n, matrix.row_masks
+
+
+def test_constructor_matches_the_per_entry_int_reference():
+    # exact tuples and lists of ints take one bytes() call; everything else,
+    # buffers above all, goes through int() per entry as it always has
+    cases = _constructor_cases()
+    failures = {_outcome(lambda: BinaryMatrix(make()))[0] for make in cases}
+    assert {TypeError, ValueError, MatrixError} <= failures
+    for make in cases:
+        expected = _outcome(lambda: BinaryMatrix.from_row_masks(*reference_row_masks(make())))
+        assert _outcome(lambda: BinaryMatrix(make())) == expected, make()
+    assert _outcome(lambda: BinaryMatrix([[1, 1], [1], [1, "x"]])) == \
+        (ValueError, "invalid literal for int() with base 10: 'x'")
+    assert _outcome(lambda: BinaryMatrix([array("q", [1, 0]), array("q", [0, 1])])) == \
+        (2, (0b01, 0b10))
 
 
 def test_from_col_masks_ignores_bits_beyond_m():
