@@ -28,8 +28,8 @@ from .instances import (
 )
 from .matrix import (
     BinaryMatrix,
+    _first_crossing_pair,
     build_phylogeny,
-    find_conflict,
     verify_row_split,
 )
 from .solvers import (
@@ -152,8 +152,8 @@ def _cmd_analyze(args) -> int:
     print(f"height: {height(digraph)}")
     print(f"width: {width(digraph)}")
     print(f"conflict_free: {'yes' if digraph.laminar else 'no'}")
-    if not digraph.laminar:  # the scan over column pairs names the witness
-        print(f"conflict: {find_conflict(matrix).describe()}")
+    if not digraph.laminar:  # the build's sweep failed: only the pair scan is left
+        print(f"conflict: {_first_crossing_pair(matrix).describe()}")
     return 0
 
 

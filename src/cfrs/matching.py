@@ -4,9 +4,10 @@ This is the package's one matcher.  Left vertices join a maximum matching
 one by one; before a vertex joins the matching is maximum, so (Berge) only
 the new vertex can start an augmenting path, and each join costs one
 breadth-first search for a shortest alternating path, with no recursion.
-The matcher also keeps Koenig's set, so on Fulkerson's bipartite split of a
-transitively closed DAG, where left and right copies index the same
-vertices, a maximum antichain is read off it without a further search.
+The matcher also keeps Koenig's set, which each search skips, so on
+Fulkerson's bipartite split of a transitively closed DAG, where left and
+right copies index the same vertices, a maximum antichain is read off it
+without a further search.
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ class LiveMatching:
     (Dulmage-Mendelsohn), so no augmenting path meets it and a matched
     vertex of Z keeps its partner: Z grows only when :meth:`augment` fails,
     by the right copies that the exhausted search reached (``z_right``) and
-    their partners, which :meth:`antichain` folds in lazily.
+    their partners, which :meth:`antichain` folds in lazily.  Z is closed
+    under alternating steps and holds no free right copy, so a search that
+    starts with ``z_right`` seen meets the vertices outside Z in the same
+    order and by the same links as one that does not, and finds the same
+    path; a failed search expands only vertices that then join Z, so the
+    failed searches read each left vertex's ``adj`` at most once in all.
     """
 
     def __init__(self, adj: Sequence[int], n_right: int):
@@ -46,10 +52,11 @@ class LiveMatching:
 
     def augment(self, v: int) -> bool:
         """Add left vertex v; True iff a shortest alternating path from it
-        to a free right vertex matched it.  On False, v stays free and the
-        right copies the search reached join ``z_right``."""
+        to a free right vertex matched it.  The search starts with Z's right
+        copies seen, as no such path enters Z.  On False, v stays free and
+        the right copies the search reached join ``z_right``."""
         adj, match_left, match_right = self.adj, self.match_left, self.match_right
-        seen, via, frontier = 0, {}, [v]
+        seen, via, frontier = self.z_right, {}, [v]
         while frontier:
             next_frontier = []
             for u in frontier:
@@ -66,7 +73,7 @@ class LiveMatching:
                     next_frontier.append(match_right[w])
             frontier = next_frontier
         self.free_left |= 1 << v
-        self.z_right |= seen
+        self.z_right = seen
         return False
 
     def antichain(self) -> int:

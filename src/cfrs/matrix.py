@@ -326,6 +326,12 @@ def find_conflict(matrix: BinaryMatrix) -> Optional[ConflictWitness]:
     """
     if _laminar_tree(*_distinct_supports(matrix)) is not None:
         return None
+    return _first_crossing_pair(matrix)
+
+
+def _first_crossing_pair(matrix: BinaryMatrix) -> Optional[ConflictWitness]:
+    """The scan over column pairs of :func:`find_conflict`, for a caller
+    that already knows the sweep rejected the matrix."""
     masks = matrix.col_masks
     for i in range(matrix.n):
         for j in range(i + 1, matrix.n):

@@ -12,8 +12,9 @@ All matching work runs on :class:`cfrs.matching.LiveMatching`: one maximum
 matching of Fulkerson's bipartite split of the transitive closure, grown one
 source at a time on the ``reach`` bitsets.  No adjacency list is built, and
 each vertex that the min-price recursion adds back costs one augmenting-path
-search; only when the width grows is a tower level read off the Koenig set
-that the matcher keeps.
+search, which skips the Koenig set that the matcher keeps, so the searches
+that fail walk each vertex at most once in all; only when the width grows
+is a tower level read off that set.
 """
 
 from __future__ import annotations
@@ -103,8 +104,10 @@ def _chains(live: LiveMatching) -> ChainPartition:
 
 def maximum_antichain(dag: Dag) -> Antichain:
     """An antichain of maximum cardinality, from a Koenig vertex cover."""
-    live = LiveMatching(dag.reach, dag.n)
-    for v in reversed(dag.topological_order):
+    reach = dag.reach
+    live = LiveMatching(reach, dag.n)
+    # by reach size every vertex joins after all it reaches, as a source
+    for v in sorted(range(dag.n), key=lambda u: reach[u].bit_count()):
         live.augment(v)
     return frozenset(bits_of(live.antichain()))
 
@@ -152,7 +155,7 @@ def min_price_chain_partition(
     tower: list[Antichain] = []
     for v in reversed(removal):
         if not live.augment(v):  # the width grew: v starts a new chain
-            tower.append(frozenset(select(range(dag.n), live.antichain())))
+            tower.append(frozenset(select(dag._vertices, live.antichain())))
     partition = _chains(live)
     if len(partition) != len(tower) or not is_chain_partition(dag, partition):
         raise InternalError("min-price chains do not partition the vertices")

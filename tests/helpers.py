@@ -837,6 +837,32 @@ def reference_split_to_branching(matrix: BinaryMatrix, split) -> Branching:
     return Branching(tuple(choice))
 
 
+def reference_augment(live: LiveMatching, v: int) -> bool:
+    """:meth:`LiveMatching.augment` as first shipped: the breadth-first
+    search starts with nothing seen, so it walks Koenig's set again, and on
+    failure what it reached is ORed into ``z_right``."""
+    adj, match_left, match_right = live.adj, live.match_left, live.match_right
+    seen, via, frontier = 0, {}, [v]
+    while frontier:
+        next_frontier = []
+        for u in frontier:
+            fresh = adj[u] & ~seen
+            seen |= fresh
+            for w in bits_of(fresh):
+                via[w] = u
+                if match_right[w] is None:
+                    while w is not None:
+                        u = via[w]
+                        match_right[w] = u
+                        match_left[u], w = w, match_left[u]
+                    return True
+                next_frontier.append(match_right[w])
+        frontier = next_frontier
+    live.free_left |= 1 << v
+    live.z_right |= seen
+    return False
+
+
 def reference_koenig_antichain(live: LiveMatching) -> int:
     """Koenig's maximum antichain of a live matching's members on the split
     of a DAG's closure, by a fresh breadth-first pass from the free left

@@ -4,9 +4,13 @@ import time
 
 import pytest
 
+import cfrs.containment
+import cfrs.matrix
 from cfrs.cli import main
 from cfrs.io import format_matrix, format_split
-from cfrs import branching_state_count, build_containment, gen_block_tree
+from cfrs.matrix import _laminar_tree
+from cfrs import (branching_state_count, build_containment, find_conflict,
+                  gen_block_tree, gen_random)
 
 from tests.helpers import CROSSING_PAIR, identity_split, k4
 
@@ -31,6 +35,27 @@ def test_analyze_conflicted(tmp_path, capsys):
     assert "cols: 2" in out
     assert "conflict_free: no" in out
     assert "conflict: columns c1,c2 on rows r1,r2,r3" in out
+
+
+def test_analyze_runs_the_laminarity_sweep_once(tmp_path, capsys, monkeypatch):
+    # the containment build's sweep already rejected the matrix, so analyze
+    # names the witness by the column-pair scan alone
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _laminar_tree(*args)
+
+    for module in (cfrs.matrix, cfrs.containment):
+        monkeypatch.setattr(module, "_laminar_tree", spy)
+    matrix = gen_random(60, 1500, 0.5, 0)
+    path = write(tmp_path / "wide.txt", format_matrix(matrix))
+    assert main(["analyze", path]) == 0
+    out = capsys.readouterr().out
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert "conflict_free: no" in out
+    assert f"conflict: {find_conflict(matrix).describe()}\n" in out
 
 
 def test_analyze_block_tree(block_tree_file, capsys):

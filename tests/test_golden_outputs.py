@@ -11,7 +11,9 @@ wider matrices, whose row or column counts cross multiples of 64, pins
 come from both sides of the bit-selection kernel's density cutoff.  Two of
 them are at benchmark scale: a row-shuffled nested prefix of 300 columns
 (44,850 containment arcs) and a laminar 1000x1500 matrix (12,950 arcs).  The
-elapsed time goes to stderr and is not compared.
+``linear`` and ``width`` solves also run on two laminar matrices, 100x150
+and 300x450, the sizes of the benchmark's linear solves.  The elapsed time
+goes to stderr and is not compared.
 
 A change that is meant to alter an output regenerates the digests with
 
@@ -78,6 +80,15 @@ def wide_corpus() -> dict[str, BinaryMatrix]:
     }
 
 
+def scale_solve_corpus() -> dict[str, BinaryMatrix]:
+    # laminar inputs of benchmark scale: the min-price chain partition and
+    # the width matching each run on k = 150 and k = 450 supports
+    return {
+        "laminar-100x150": gen_random_laminar(100, 150, 0),
+        "laminar-300x450": gen_random_laminar(300, 450, 0),
+    }
+
+
 def _digest(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
@@ -122,6 +133,14 @@ def compute_digests(workdir: Path) -> dict[str, dict[str, object]]:
     digests["nested-prefix-65 solve height"] = _run(
         ["solve", str(workdir / "nested-prefix-65.txt"), "--method", "height",
          "--out", str(out), "--json", str(report)], {"out": out, "json": report})
+    for name, matrix in scale_solve_corpus().items():
+        source = workdir / f"{name}.txt"
+        source.write_text(format_matrix(matrix), encoding="utf-8")
+        for method in ("linear", "width"):
+            digests[f"{name} solve {method}"] = _run(
+                ["solve", str(source), "--method", method,
+                 "--out", str(out), "--json", str(report)],
+                {"out": out, "json": report})
     return digests
 
 

@@ -270,6 +270,25 @@ def test_min_price_and_antichain_match_the_reference_algorithm():
     assert differences == 0
 
 
+def test_maximum_antichain_by_reach_size_needs_no_topological_order():
+    # vertices join in reach-size order, not Kahn's: the Koenig antichain
+    # depends only on the members, so it is the reference's (also checked on
+    # random DAGs above), and a containment digraph never builds its
+    # topological order or in-masks
+    rng = random.Random(2828)
+    matrices = [gen_random_laminar(m, k, seed) for m, k in ((20, 30), (100, 150))
+                for seed in range(3)]
+    matrices += [gen_random(m, n, p, seed) for m, n, p in ((12, 40, 0.3), (30, 60, 0.1))
+                 for seed in range(3)]
+    matrices += [nested_prefix(40, rng), gen_block_tree(3, 4)]
+    for matrix in matrices:
+        digraph = build_containment(matrix)
+        antichain = maximum_antichain(digraph)
+        assert "topological_order" not in digraph.__dict__
+        assert "in_masks" not in digraph.__dict__
+        assert antichain == reference_maximum_antichain(digraph)
+
+
 def test_min_price_on_large_inputs_needs_no_recursion():
     n = 3000
     path = Dag(n, [(i, i + 1) for i in range(n - 1)])
