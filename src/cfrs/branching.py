@@ -125,8 +125,8 @@ def split_to_branching(matrix: BinaryMatrix, split: RowSplit) -> Branching:
     split_masks = tuple(supports[j] for j in red.representative)
     if len(set(split_masks)) != red.reduced.n:
         raise InternalError("two distinct source columns coincide in a verified split")
-    tree = _laminar_tree(split_masks, rows)
-    if tree is None:
+    tree = _laminar_tree(split_masks, rows, -1)
+    if not isinstance(tree, tuple):  # a conflict witness
         raise InternalError("phylogeny sweep rejected a verified split")
     # sweep node v + 1 is vertex v, and node 0 the all-rows root
     return Branching(tuple(p - 1 if p else None for p in tree[1][1:]))

@@ -26,12 +26,7 @@ from .instances import (
     gen_vc_reduction,
     parse_edge_list,
 )
-from .matrix import (
-    BinaryMatrix,
-    _first_crossing_pair,
-    build_phylogeny,
-    verify_row_split,
-)
+from .matrix import BinaryMatrix, build_phylogeny, verify_row_split
 from .solvers import (
     approx_distinct_2,
     approx_height,
@@ -151,9 +146,9 @@ def _cmd_analyze(args) -> int:
     print(f"distinct_cols: {digraph.n}")
     print(f"height: {height(digraph)}")
     print(f"width: {width(digraph)}")
-    print(f"conflict_free: {'yes' if digraph.laminar else 'no'}")
-    if not digraph.laminar:  # the build's sweep failed: only the pair scan is left
-        print(f"conflict: {_first_crossing_pair(matrix).describe()}")
+    print(f"conflict_free: {'yes' if digraph.conflict is None else 'no'}")
+    if digraph.conflict is not None:  # named by the build's sweep
+        print(f"conflict: {digraph.conflict.describe()}")
     return 0
 
 

@@ -15,8 +15,8 @@ from operator import and_, or_
 from typing import Iterable
 
 from .matching import maximum_bipartite_matching
-from .matrix import (BinaryMatrix, _laminar_tree, bits_of, reduce_columns, select,
-                     transpose)
+from .matrix import (BinaryMatrix, ConflictWitness, _first_rows, _laminar_tree, bits_of,
+                     reduce_columns, select, transpose)
 
 
 class Dag:
@@ -111,23 +111,25 @@ class ContainmentDigraph(Dag):
     order), stored as a bitset over row indices; arcs are all proper
     inclusions.  ``class_of`` maps original columns to vertices.
 
-    The build first runs the sweep of :func:`~cfrs.matrix.build_phylogeny`:
-    a sort of the k supports plus O(k + m) steps, each an operation on an
-    m-bit mask.  A laminar family's supersets of a support are its
-    ancestors in that tree, so visiting the supports by decreasing size
-    costs one OR per support.  Only a family with a crossing pair pays for
-    the holder AND, one AND per (row, support) incidence.
+    The build first runs the sweep of :func:`~cfrs.matrix.build_phylogeny`,
+    in the order ``first_rows`` sets, and keeps its witness as ``conflict``
+    (None iff conflict-free): a sort of the k supports plus O(k + m) steps,
+    each an operation on an m-bit mask.  A laminar family's supersets of a
+    support are its ancestors in that tree, so visiting the supports by
+    decreasing size costs one OR per support.  Only a family with a crossing
+    pair pays for the holder AND, one AND per (row, support) incidence.
     """
 
     def __init__(self, supports: tuple[int, ...], n_rows: int,
-                 class_of: tuple[int, ...]):
+                 class_of: tuple[int, ...], first_rows: int):
         k = len(supports)
         if len(set(supports)) != k or 0 in supports:
             raise ValueError("vertex supports must be distinct and nonempty")
-        # proper inclusion grows the support, so no cycle and no Kahn pass
-        tree = _laminar_tree(supports, n_rows)
-        self.laminar = tree is not None  # iff the matrix is conflict-free
-        if tree is None:  # support i lies in the supports holding its rows
+        self.class_of = tuple(class_of)
+        # no cycle, so no Kahn pass; the sweep walks source columns, so its witness names them
+        tree = _laminar_tree([supports[v] for v in self.class_of], n_rows, first_rows)
+        self.conflict = tree if isinstance(tree, ConflictWitness) else None
+        if self.conflict is not None:  # support i lies in the supports holding its rows
             holders = transpose(supports, n_rows)
             out = tuple(reduce(and_, select(holders, mask), -1) ^ (1 << i)
                         for i, mask in enumerate(supports))
@@ -141,10 +143,10 @@ class ContainmentDigraph(Dag):
         self.out_masks = self.reach = out  # transitively closed
         self.supports = tuple(supports)
         self.n_rows = n_rows
-        self.class_of = tuple(class_of)
 
 
 def build_containment(matrix: BinaryMatrix) -> ContainmentDigraph:
     """Containment digraph over the distinct column supports of a matrix."""
     red = reduce_columns(matrix)
-    return ContainmentDigraph(red.reduced.col_masks, matrix.m, red.class_of)
+    return ContainmentDigraph(red.reduced.col_masks, matrix.m, red.class_of,
+                              _first_rows(matrix))

@@ -8,9 +8,10 @@ over row indices, so inclusion tests, row ORs and validation each cost one
 mask operation.  :func:`transpose` turns one kind into the other with a
 word-parallel bit-matrix transpose, and the conflict check, the phylogeny
 and the containment digraph share one sweep over the distinct supports by
-increasing size, which writes each row's tree node once.  The conflict
-check sweeps the supports over the distinct rows only, so a row that
-repeats costs one hash.  Dense 0/1 row tuples are built only on request.
+increasing size, which writes each row's tree node once and names the
+witness of a conflict.  The conflict check sweeps the supports over the
+distinct rows only, so a row that repeats costs one hash.  Dense 0/1 row
+tuples are built only on request.
 Passes over whole digraphs pick the items a mask names with :func:`select`,
 in C steps; search loops, with small or sparse masks, walk :func:`bits_of`.
 """
@@ -23,7 +24,7 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import ConflictError, InternalError, MatrixError
+from .errors import ConflictError, MatrixError
 
 Bits = tuple[int, ...]
 
@@ -314,34 +315,26 @@ def _distinct_supports(matrix: BinaryMatrix) -> tuple[tuple[int, ...], int]:
 
 
 def find_conflict(matrix: BinaryMatrix) -> Optional[ConflictWitness]:
-    """Return the first conflicting column pair, or None if conflict-free.
+    """The laminarity sweep's conflict witness, or None if conflict-free.
 
-    Deterministic: the returned (col_i, col_j, r, r2, r3) tuple is the
-    lexicographically smallest witness.  The phylogeny sweep runs on the
-    distinct-row supports, so it costs one hash per row plus work on the
-    d distinct rows: a sort of the k distinct supports, one step per
-    distinct row and at most k adoptions, each an operation on d-bit masks.
-    Only a matrix that the sweep rejects as not laminar gets the scan over
-    column pairs, on all rows, which names the witness.
+    The sweep fails at v, the first column support by size over the
+    distinct rows, then first appearance, that crosses an earlier one; u is
+    the first such earlier support in column order.  The witness columns
+    are u's and v's first columns in index order, its rows the first row of
+    col_i & col_j, col_i - col_j and col_j - col_i.  Cost: one hash per row,
+    the sweep on the d distinct rows, and O(n) mask operations to complete v.
     """
-    if _laminar_tree(*_distinct_supports(matrix)) is not None:
+    tree = _laminar_tree(*_distinct_supports(matrix), -1)  # -1: all rows, all distinct
+    if not isinstance(tree, ConflictWitness):
         return None
-    return _first_crossing_pair(matrix)
+    first = [matrix.row_masks.index(matrix.distinct_row_masks[r]) for r in tree.rows]
+    return ConflictWitness(tree.col_i, tree.col_j, tuple(first))
 
 
-def _first_crossing_pair(matrix: BinaryMatrix) -> Optional[ConflictWitness]:
-    """The scan over column pairs of :func:`find_conflict`, for a caller
-    that already knows the sweep rejected the matrix."""
-    masks = matrix.col_masks
-    for i in range(matrix.n):
-        for j in range(i + 1, matrix.n):
-            both = masks[i] & masks[j]
-            only_i = masks[i] & ~masks[j]
-            only_j = masks[j] & ~masks[i]
-            if both and only_i and only_j:
-                rows = tuple(next(bits_of(m)) for m in (both, only_i, only_j))
-                return ConflictWitness(i, j, rows)
-    return None
+def _first_rows(matrix: BinaryMatrix) -> int:
+    """Bitset of the rows that are the first with their pattern."""
+    masks = matrix.row_masks
+    return mask_of(dict(zip(masks[::-1], range(len(masks) - 1, -1, -1))).values())
 
 
 def reduce_columns(matrix: BinaryMatrix) -> ColumnReduction:
@@ -418,18 +411,30 @@ class PhyloTree:
     row_node: tuple[int, ...]
 
 
-def _laminar_tree(supports: Sequence[int], m: int) -> Optional[tuple]:
-    """The sweep of :func:`build_phylogeny` over nonempty supports of m rows:
-    ``(node_masks, parent, row_node)`` of its tree, or None if not laminar.
-    A sort of the k supports plus O(k + m) steps, each an operation on an
-    m-bit mask; :func:`find_conflict` and the containment digraph's build
-    run it too."""
+def _crossing(supports: Sequence[int], first: int, v: int) -> ConflictWitness:
+    """:func:`find_conflict`'s witness on the positions and rows of
+    ``supports``, from v, the support where the sweep failed."""
+    size, j = (v & first).bit_count(), supports.index(v)
+    i = next(i for i, u in enumerate(supports)
+             if u & v and u & ~v and v & ~u and ((u & first).bit_count(), i) < (size, j))
+    i, j = sorted((i, j))
+    a, b = supports[i], supports[j]
+    return ConflictWitness(i, j, tuple(next(bits_of(s)) for s in (a & b, a & ~b, b & ~a)))
+
+
+def _laminar_tree(supports: Sequence[int], m: int, first: int):
+    """The sweep of :func:`build_phylogeny` over nonempty supports of m rows,
+    by size over the rows ``first`` (:func:`_first_rows`; -1 when none
+    repeats), so all sweeps of one matrix fail at one support: ``(node_masks,
+    parent, row_node)`` of its tree, or the :func:`_crossing` witness.  A sort of the
+    k supports plus O(k + m) steps, each an operation on an m-bit mask."""
     node_masks = ((1 << m) - 1,) + tuple(dict.fromkeys(supports))
     parent: list[Optional[int]] = [None] + [0] * (len(node_masks) - 1)
     top = list(range(len(node_masks)))  # union-find towards each tree's top
     row_node = [0] * m
     claimed = 0
-    for v in sorted(range(1, len(node_masks)), key=lambda u: node_masks[u].bit_count()):
+    for v in sorted(range(1, len(node_masks)),
+                    key=lambda u: (node_masks[u] & first).bit_count()):
         mask = node_masks[v]
         held = mask & claimed
         for r in bits_of(mask ^ held):
@@ -441,7 +446,7 @@ def _laminar_tree(supports: Sequence[int], m: int) -> Optional[tuple]:
                 top[u] = top[top[u]]
                 u = top[u]
             if node_masks[u] & ~mask:
-                return None
+                return _crossing(supports, first, mask)
             parent[u] = top[u] = v
             held ^= node_masks[u]
     return node_masks, tuple(parent), tuple(row_node)
@@ -451,8 +456,8 @@ def build_phylogeny(matrix: BinaryMatrix) -> PhyloTree:
     """Arrange the distinct column supports of a conflict-free matrix as a tree.
 
     The parent of a support is its unique inclusion-minimal proper superset
-    among the supports, or the root.  Raises :class:`ConflictError` (carrying
-    the witness) when the matrix has a conflict.
+    among the supports, or the root.  Raises :class:`ConflictError`, carrying
+    the witness of :func:`find_conflict`, when the matrix has a conflict.
 
     Supports are visited by increasing size.  Each claims the rows that no
     smaller support holds (``row_node`` is written once per row), then
@@ -466,11 +471,8 @@ def build_phylogeny(matrix: BinaryMatrix) -> PhyloTree:
     union-find lookup per adoption (at most k), each with mask operations
     over the m rows.
     """
-    tree = _laminar_tree(matrix.col_masks, matrix.m)
-    if tree is None:
-        witness = find_conflict(matrix)
-        if witness is None:
-            raise InternalError("phylogeny sweep rejected a conflict-free matrix")
-        raise ConflictError(witness, f"cannot build a phylogeny: conflict between "
-                                     f"{witness.describe()}")
+    tree = _laminar_tree(matrix.col_masks, matrix.m, _first_rows(matrix))
+    if isinstance(tree, ConflictWitness):
+        raise ConflictError(tree, f"cannot build a phylogeny: conflict between "
+                                  f"{tree.describe()}")
     return PhyloTree(*tree)

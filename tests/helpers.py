@@ -594,15 +594,25 @@ def reference_width(n: int, closure) -> int:
     return n - sum(1 for v in match_left if v is not None)
 
 
-def reference_first_conflict(matrix: BinaryMatrix):
-    """The lexicographically smallest conflict witness, by a scan over all
-    column pairs on row sets."""
-    cols = [frozenset(i for i in range(matrix.m) if matrix.rows[i][j])
+def reference_sweep_conflict(matrix: BinaryMatrix):
+    """The conflict witness that the laminarity sweep names, by a double
+    loop over row sets: the distinct rows in first-appearance order, the
+    distinct column supports over them in first-appearance order, stably
+    sorted by size; v is the first support in that order that crosses an
+    earlier one, u the first such earlier support in column order, and
+    each row the first row of its pattern set."""
+    distinct = list(dict.fromkeys(matrix.rows))
+    cols = [frozenset(d for d, row in enumerate(distinct) if row[j])
             for j in range(matrix.n)]
-    for i, j in itertools.combinations(range(matrix.n), 2):
-        both, only_i, only_j = cols[i] & cols[j], cols[i] - cols[j], cols[j] - cols[i]
-        if both and only_i and only_j:
-            return ConflictWitness(i, j, (min(both), min(only_i), min(only_j)))
+    supports = sorted(dict.fromkeys(cols), key=len)
+    for pos, v in enumerate(supports):
+        crossing = [u for u in supports[:pos] if u & v and u - v and v - u]
+        if crossing:
+            u = min(crossing, key=cols.index)
+            i, j = sorted((cols.index(u), cols.index(v)))
+            sets = (cols[i] & cols[j], cols[i] - cols[j], cols[j] - cols[i])
+            return ConflictWitness(i, j, tuple(matrix.rows.index(distinct[min(s)])
+                                               for s in sets))
     return None
 
 

@@ -64,9 +64,9 @@ from tests.helpers import (
     reference_decision_order,
     reference_distinct_2_split,
     reference_exact_minimize,
-    reference_first_conflict,
     reference_lookahead_minimize,
     reference_split_to_branching,
+    reference_sweep_conflict,
     uncovered_pairs,
     with_repeated_split_rows,
 )
@@ -204,8 +204,8 @@ def test_split_to_branching_matches_elementary_arc_reference():
 
 def test_repeated_split_rows_keep_verdict_and_branching():
     # split rows repeated inside their groups and shuffled: the verdict, the
-    # named witness and the extracted branching are those of the pair scan
-    # and the elementary-arc reference
+    # named witness and the extracted branching are those of the sweep-order
+    # conflict reference and the elementary-arc reference
     rng = random.Random(1104)
     accepted = rejected = 0
     for matrix in random_corpus(80, seed=17) + differential_corpus():
@@ -214,7 +214,7 @@ def test_repeated_split_rows_keep_verdict_and_branching():
             verdict = verify_row_split(matrix, repeated)
             assert verdict.ok == verify_row_split(matrix, split).ok
             if not verdict.ok:
-                assert verdict.witness == reference_first_conflict(repeated.matrix)
+                assert verdict.witness == reference_sweep_conflict(repeated.matrix)
                 rejected += 1
                 continue
             back = split_to_branching(matrix, repeated)
@@ -690,7 +690,8 @@ def test_branching_self_checks_survive_python_optimize(tmp_path):
         "from cfrs import InternalError, RowSplit, split_to_branching",
         "from cfrs.io import parse_matrix",
         "print('debug:', __debug__)",
-        "cfrs.branching._laminar_tree = lambda supports, m: None",
+        "cfrs.branching._laminar_tree = lambda supports, m, first: "
+        "cfrs.matrix.ConflictWitness(0, 1, (0, 1, 2))",
         "matrix = parse_matrix(open(sys.argv[1]).read())",
         "try:",
         "    split_to_branching(matrix, RowSplit(matrix, ((0,), (1,), (2,))))",

@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 import time
 
 import pytest
@@ -9,10 +10,13 @@ import cfrs.matrix
 from cfrs.cli import main
 from cfrs.io import format_matrix, format_split
 from cfrs.matrix import _laminar_tree
-from cfrs import (branching_state_count, build_containment, find_conflict,
-                  gen_block_tree, gen_random)
+from cfrs import (ConflictError, branching_state_count, build_containment, build_phylogeny,
+                  find_conflict, gen_block_tree, gen_random, gen_random_laminar,
+                  verify_row_split)
 
-from tests.helpers import CROSSING_PAIR, identity_split, k4
+from tests.helpers import (CROSSING_PAIR, differential_corpus, identity_split, k4,
+                           reference_sweep_conflict, with_last_pair_crossing,
+                           with_repeated_rows)
 
 
 @pytest.fixture
@@ -38,8 +42,8 @@ def test_analyze_conflicted(tmp_path, capsys):
 
 
 def test_analyze_runs_the_laminarity_sweep_once(tmp_path, capsys, monkeypatch):
-    # the containment build's sweep already rejected the matrix, so analyze
-    # names the witness by the column-pair scan alone
+    # the containment build's sweep already rejected the matrix and named
+    # its witness, so analyze runs no sweep of its own
     calls = []
 
     def spy(*args):
@@ -56,6 +60,51 @@ def test_analyze_runs_the_laminarity_sweep_once(tmp_path, capsys, monkeypatch):
     monkeypatch.undo()
     assert "conflict_free: no" in out
     assert f"conflict: {find_conflict(matrix).describe()}\n" in out
+
+
+def _analyze_conflict(path, capsys):
+    """The witness text on ``cfrs analyze``'s conflict line, or None."""
+    assert main(["analyze", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return next((line.removeprefix("conflict: ") for line in lines
+                 if line.startswith("conflict: ")), None)
+
+
+def test_every_witness_source_names_the_sweep_pair(tmp_path, capsys):
+    # find_conflict, verify's rejection, build_phylogeny's error and
+    # analyze's line all read one sweep's failing support, also when rows
+    # repeat and the sweeps over all rows and over the distinct rows differ
+    rng = random.Random(2604)
+    corpus = [with_repeated_rows(matrix, rng) for matrix in differential_corpus()]
+    crossing = 0
+    for i, matrix in enumerate(corpus):
+        witness = find_conflict(matrix)
+        assert witness == reference_sweep_conflict(matrix)
+        assert verify_row_split(matrix, identity_split(matrix)).witness == witness
+        described = _analyze_conflict(write(tmp_path / f"m{i}.txt", format_matrix(matrix)),
+                                      capsys)
+        if witness is None:
+            assert described is None
+            build_phylogeny(matrix)
+            continue
+        crossing += 1
+        assert described == witness.describe()
+        with pytest.raises(ConflictError) as err:
+            build_phylogeny(matrix)
+        assert err.value.witness == witness
+    assert crossing > 30 and sum(m.m > len(m.distinct_row_masks) for m in corpus) > 100
+
+
+def test_late_crossing_is_named_by_every_command(tmp_path, capsys):
+    # the only crossing is the last column pair of a 1000x1500 laminar matrix
+    matrix = with_last_pair_crossing(gen_random_laminar(1000, 1500, 0))
+    pair = "columns c1501,c1502 on rows r1002,r1001,r1003"
+    assert find_conflict(matrix).describe() == pair
+    path = write(tmp_path / "late.txt", format_matrix(matrix))
+    assert _analyze_conflict(path, capsys) == pair
+    assert main(["tree", path, "--dot", str(tmp_path / "late.dot")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: cannot build a phylogeny: conflict between {pair}\n"
 
 
 def test_analyze_block_tree(block_tree_file, capsys):

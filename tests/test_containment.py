@@ -16,7 +16,7 @@ from cfrs import (
     maximum_antichain,
     width,
 )
-from cfrs.matrix import BinaryMatrix, bits_of, mask_of, transpose
+from cfrs.matrix import BinaryMatrix, ConflictWitness, bits_of, mask_of, transpose
 
 from tests.helpers import (
     CROSSING_PAIR,
@@ -52,7 +52,7 @@ def test_dag_rejects_cycles_and_bad_arcs():
         Dag(-1)
     for supports in ((0b01, 0b01), (0b01, 0)):  # repeated, empty
         with pytest.raises(ValueError, match="vertex supports must be distinct and nonempty"):
-            ContainmentDigraph(supports, 1, (0, 1))
+            ContainmentDigraph(supports, 1, (0, 1), 0b1)
 
 
 def test_build_containment_nested():
@@ -222,7 +222,8 @@ def test_tree_and_holder_and_builds_match_pairwise_reference(monkeypatch):
         assert d.supports == supports
         assert d.out_masks == _masks(d.n, arcs, 0)
         built.append(d.out_masks)
-    monkeypatch.setattr(cfrs.containment, "_laminar_tree", lambda supports, m: None)
+    monkeypatch.setattr(cfrs.containment, "_laminar_tree",
+                        lambda supports, m, first: ConflictWitness(0, 0, (0, 0, 0)))
     assert [build_containment(matrix).out_masks for matrix in laminar + crossed] == built
 
 
@@ -243,11 +244,11 @@ def test_only_a_crossing_pair_reaches_the_holder_and(monkeypatch):
 
 
 def test_laminar_flag_is_the_conflict_check():
-    # `cfrs analyze` reads the flag instead of running the sweep again
+    # `cfrs analyze` reads the build's witness instead of running a sweep again
     matrices = differential_corpus() + list(corpus().values()) + list(wide_corpus().values())
-    flags = [build_containment(matrix).laminar for matrix in matrices]
-    assert flags == [find_conflict(matrix) is None for matrix in matrices]
-    assert True in flags and False in flags
+    witnesses = [build_containment(matrix).conflict for matrix in matrices]
+    assert witnesses == [find_conflict(matrix) for matrix in matrices]
+    assert None in witnesses and any(w is not None for w in witnesses)
 
 
 def test_plain_dag_masks_match_reference_on_random_arc_lists():

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from cfrs import (
     BinaryMatrix,
     ConflictError,
-    InternalError,
     MatrixError,
+    build_containment,
     build_phylogeny,
     count_distinct_rows,
     find_conflict,
@@ -25,7 +25,9 @@ from cfrs.io import format_matrix, parse_matrix
 from cfrs.matrix import (
     _BAND,
     _SPARSE,
+    ConflictWitness,
     RowSplit,
+    _first_rows,
     _laminar_tree,
     bits_of,
     select,
@@ -45,10 +47,10 @@ from tests.helpers import (
     nested_prefix,
     oracle_has_conflict,
     random_corpus,
-    reference_first_conflict,
     reference_laminar_tree,
     reference_phylogeny,
     reference_row_masks,
+    reference_sweep_conflict,
     reference_transpose,
     tree_k,
     with_last_pair_crossing,
@@ -395,21 +397,12 @@ def test_phylogeny_matches_exhaustive_reference_on_laminar_matrices():
         assert (tree.node_masks, tree.parent, tree.row_node) == reference_phylogeny(matrix)
 
 
-def test_phylogeny_self_check_raises_internal_error(monkeypatch):
-    # a sweep rejecting a matrix that the pair scan finds conflict-free
-    import cfrs.matrix
-
-    monkeypatch.setattr(cfrs.matrix, "_laminar_tree", lambda supports, m: None)
-    with pytest.raises(InternalError, match="sweep rejected a conflict-free matrix"):
-        build_phylogeny(BinaryMatrix(((1, 1), (1, 0), (1, 1))))
-
-
-def test_find_conflict_matches_pair_scan_and_is_laminar_on_corpus():
+def test_find_conflict_matches_sweep_reference_and_is_laminar_on_corpus():
     corpus = differential_corpus()
     assert sum(is_laminar(matrix) for matrix in corpus) >= 30
     for matrix in corpus:
         witness = find_conflict(matrix)
-        assert witness == reference_first_conflict(matrix)
+        assert witness == reference_sweep_conflict(matrix)
         assert (witness is None) == is_laminar(matrix)
         if witness is None:
             tree = build_phylogeny(matrix)
@@ -420,11 +413,50 @@ def test_find_conflict_matches_pair_scan_and_is_laminar_on_corpus():
             assert err.value.witness == witness
 
 
+def test_every_conflict_witness_is_a_crossing_submatrix():
+    # each source's witness, on each conflicting matrix, is the pattern
+    # (1,1),(1,0),(0,1) on its rows, in increasing column order
+    conflicting = 0
+    for matrix in random_corpus(3000, 7, 5):
+        witness = find_conflict(matrix)
+        if witness is None:
+            continue
+        conflicting += 1
+        assert witness.col_i < witness.col_j
+        assert [(matrix.rows[r][witness.col_i], matrix.rows[r][witness.col_j])
+                for r in witness.rows] == [(1, 1), (1, 0), (0, 1)]
+        assert build_containment(matrix).conflict == witness
+        with pytest.raises(ConflictError) as err:
+            build_phylogeny(matrix)
+        assert err.value.witness == witness
+    assert conflicting > 1000
+
+
+def test_find_conflict_and_phylogeny_each_sweep_once(monkeypatch):
+    import cfrs.matrix
+
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _laminar_tree(*args)
+
+    monkeypatch.setattr(cfrs.matrix, "_laminar_tree", spy)
+    for matrix in (CROSSING_PAIR, with_last_pair_crossing(gen_block_tree(3, 3))):
+        calls.clear()
+        witness = find_conflict(matrix)
+        assert witness is not None and len(calls) == 1
+        calls.clear()
+        with pytest.raises(ConflictError) as err:
+            build_phylogeny(matrix)
+        assert err.value.witness == witness and len(calls) == 1
+
+
 def test_conflict_in_the_last_column_pair_only():
     for matrix in (gen_block_tree(3, 3), gen_random_laminar(30, 50, 2)):
         crossed = with_last_pair_crossing(matrix)
         witness = find_conflict(crossed)
-        assert witness == reference_first_conflict(crossed)
+        assert witness == reference_sweep_conflict(crossed)
         n, m = crossed.n, crossed.m
         assert (witness.col_i, witness.col_j) == (n - 2, n - 1)
         assert witness.rows == (m - 2, m - 3, m - 1)
@@ -438,11 +470,11 @@ def test_equal_size_supports_sweep():
     assert find_conflict(disjoint) is None
     assert build_phylogeny(disjoint).parent == (None, 0, 0, 0)
     overlapping = BinaryMatrix(((1, 0), (1, 1), (0, 1)))
-    assert find_conflict(overlapping) == reference_first_conflict(overlapping)
+    assert find_conflict(overlapping) == reference_sweep_conflict(overlapping)
     assert find_conflict(overlapping).rows == (1, 0, 2)
 
 
-def test_find_conflict_on_repeated_rows_matches_pair_scan():
+def test_find_conflict_on_repeated_rows_matches_sweep_reference():
     rng = random.Random(1103)
     corpus = [with_repeated_rows(matrix, rng)
               for matrix in random_corpus(80, seed=17) + differential_corpus()]
@@ -450,7 +482,7 @@ def test_find_conflict_on_repeated_rows_matches_pair_scan():
     assert sum(is_laminar(matrix) for matrix in corpus) >= 30
     for matrix in corpus:
         witness = find_conflict(matrix)
-        assert witness == reference_first_conflict(matrix)
+        assert witness == reference_sweep_conflict(matrix)
         assert (witness is None) == is_laminar(matrix)
         verdict = verify_row_split(matrix, identity_split(matrix))
         assert verdict.ok == (witness is None)
@@ -463,7 +495,7 @@ def test_conflict_of_repeated_rows_names_first_occurrences():
     assert count_distinct_rows(matrix) == 3
     assert matrix.distinct_row_masks == (0b10, 0b01, 0b11)
     witness = find_conflict(matrix)
-    assert witness == reference_first_conflict(matrix)
+    assert witness == reference_sweep_conflict(matrix)
     assert witness.rows == (3, 1, 0)
 
 
@@ -552,11 +584,15 @@ def _sweep_corpus():
 
 def test_laminar_sweep_matches_decreasing_size_reference():
     laminar, crossed = _sweep_corpus()
+    # on all rows, ordered by size over the first rows, a failed sweep names
+    # the same witness as find_conflict's sweep over the distinct rows
     for matrix in differential_corpus() + laminar + crossed:
-        assert _laminar_tree(matrix.col_masks, matrix.m) == \
-            reference_laminar_tree(matrix)
-    assert all(_laminar_tree(matrix.col_masks, matrix.m) is not None for matrix in laminar)
-    assert all(_laminar_tree(matrix.col_masks, matrix.m) is None for matrix in crossed)
+        tree = _laminar_tree(matrix.col_masks, matrix.m, _first_rows(matrix))
+        assert tree == (reference_laminar_tree(matrix) or reference_sweep_conflict(matrix))
+    assert all(type(_laminar_tree(matrix.col_masks, matrix.m, _first_rows(matrix))) is tuple
+               for matrix in laminar)
+    assert all(isinstance(_laminar_tree(matrix.col_masks, matrix.m, _first_rows(matrix)),
+                          ConflictWitness) for matrix in crossed)
 
 
 def test_laminar_sweep_writes_each_row_node_once(monkeypatch):
@@ -573,7 +609,7 @@ def test_laminar_sweep_writes_each_row_node_once(monkeypatch):
                 yield r
 
         monkeypatch.setattr(cfrs.matrix, "bits_of", counting_bits_of)
-        tree = _laminar_tree(matrix.col_masks, matrix.m)
+        tree = _laminar_tree(matrix.col_masks, matrix.m, _first_rows(matrix))
         monkeypatch.undo()
         assert tree == reference_laminar_tree(matrix)
         assert sorted(written) == list(range(matrix.m))
