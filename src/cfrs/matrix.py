@@ -334,7 +334,12 @@ def find_conflict(matrix: BinaryMatrix) -> Optional[ConflictWitness]:
 def _first_rows(matrix: BinaryMatrix) -> int:
     """Bitset of the rows that are the first with their pattern."""
     masks = matrix.row_masks
-    return mask_of(dict(zip(masks[::-1], range(len(masks) - 1, -1, -1))).values())
+    if matrix.distinct_row_masks is masks:  # no row repeats
+        return (1 << len(masks)) - 1
+    flags = bytearray(len(masks))  # one store per pattern, not an OR on a growing int
+    for i in dict(zip(masks[::-1], range(len(masks) - 1, -1, -1))).values():
+        flags[i] = 1
+    return int(flags.translate(_DIGITS)[::-1], 2)
 
 
 def reduce_columns(matrix: BinaryMatrix) -> ColumnReduction:

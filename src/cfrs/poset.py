@@ -2,11 +2,11 @@
 
 A chain is a vertex sequence linked by the transitive closure; its price is
 its maximum vertex weight.  A chain partition's price sums the chain prices.
-A tower of antichains has one antichain of each size 1..width, and its value
-sums the per-level minimum weights.  For monotone weights the minimum
-partition price equals the maximum tower value, and
-:func:`min_price_chain_partition` returns a partition together with a tower
-of matching value as a machine-checkable optimality certificate.
+A tower has one antichain, an int vertex bitset, of each size 1..width; its
+value sums the per-level minimum weights in O(n log n + width log #weights).
+For monotone weights the minimum partition price equals the maximum tower
+value, and :func:`min_price_chain_partition` returns a partition together
+with a tower of matching value as a machine-checkable optimality certificate.
 
 All matching work runs on :class:`cfrs.matching.LiveMatching`: one maximum
 matching of Fulkerson's bipartite split of the transitive closure, grown one
@@ -19,16 +19,17 @@ is a tower level read off that set.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Sequence
 
 from .containment import Dag, width
 from .errors import InternalError
 from .matching import LiveMatching
-from .matrix import bits_of, mask_of, select, transpose
+from .matrix import select, transpose
 
 Chain = tuple[int, ...]
 ChainPartition = tuple[Chain, ...]
-Antichain = frozenset[int]
+Antichain = int  # a vertex bitset
 Tower = tuple[Antichain, ...]
 
 
@@ -64,14 +65,13 @@ def is_chain_partition(dag: Dag, partition: Sequence[Sequence[int]]) -> bool:
     )
 
 
-def is_antichain(dag: Dag, vertices) -> bool:
-    mask = mask_of(vertices)
-    return not any(dag.reach[v] & mask for v in bits_of(mask))
+def is_antichain(dag: Dag, mask: Antichain) -> bool:
+    return 0 <= mask < 1 << dag.n and not any(map(mask.__and__, select(dag.reach, mask)))
 
 
 def is_tower(dag: Dag, tower: Sequence[Antichain]) -> bool:
     return len(tower) == width(dag) and all(
-        len(level) == i + 1 and is_antichain(dag, level)
+        level.bit_count() == i + 1 and is_antichain(dag, level)
         for i, level in enumerate(tower)
     )
 
@@ -81,7 +81,15 @@ def partition_price(partition: Sequence[Sequence[int]], weights: Sequence[int]) 
 
 
 def tower_value(tower: Sequence[Antichain], weights: Sequence[int]) -> int:
-    return sum(min(weights[v] for v in level) for level in tower)
+    """Sum of the levels' minimum weights, by binary search over weight-prefix masks."""
+    at_most, below = {}, 0  # weight -> the vertices at most that heavy
+    for v in sorted(range(len(weights)), key=weights.__getitem__):
+        below |= 1 << v
+        at_most[weights[v]] = below
+    if not all(0 < level <= below for level in tower):  # below: every vertex
+        raise ValueError("a tower level is empty or names a non-vertex")
+    lightest, prefixes = list(at_most), list(at_most.values())
+    return sum(lightest[bisect_left(prefixes, 1, key=level.__and__)] for level in tower)
 
 
 def evaluate(partition, tower, weights) -> tuple[int, int]:
@@ -109,7 +117,7 @@ def maximum_antichain(dag: Dag) -> Antichain:
     # by reach size every vertex joins after all it reaches, as a source
     for v in sorted(range(dag.n), key=lambda u: reach[u].bit_count()):
         live.augment(v)
-    return frozenset(bits_of(live.antichain()))
+    return live.antichain()
 
 
 def min_price_chain_partition(
@@ -155,9 +163,11 @@ def min_price_chain_partition(
     tower: list[Antichain] = []
     for v in reversed(removal):
         if not live.augment(v):  # the width grew: v starts a new chain
-            tower.append(frozenset(select(dag._vertices, live.antichain())))
+            tower.append(live.antichain())
     partition = _chains(live)
-    if len(partition) != len(tower) or not is_chain_partition(dag, partition):
+    if [level.bit_count() for level in tower] != list(range(1, len(partition) + 1)):
+        raise InternalError("min-price tower levels are not of sizes 1..width")
+    if not is_chain_partition(dag, partition):
         raise InternalError("min-price chains do not partition the vertices")
     price, value = evaluate(partition, tower, w)
     if price != value:

@@ -24,7 +24,7 @@ from cfrs import (
 from cfrs.errors import BudgetError, InternalError, MatrixError
 from cfrs.matching import LiveMatching, maximum_bipartite_matching
 from cfrs.matrix import ConflictWitness, RowSplit, bits_of, mask_of, select, transpose
-from cfrs.poset import _validated_weights, evaluate, is_chain_partition, is_monotone
+from cfrs.poset import _validated_weights, is_chain_partition, is_monotone, partition_price
 
 # rows (1,1),(1,0),(0,1): the two column supports cross, so the matrix has a
 # conflict and its digraph is two incomparable vertices
@@ -936,7 +936,8 @@ def reference_min_price_chain_partition(dag: Dag, weights):
     partition = tuple(tuple(c) for c in sorted(chains))
     if not is_chain_partition(dag, partition):
         raise InternalError("min-price chains do not partition the vertices")
-    price, value = evaluate(partition, tower, w)
-    if price != value:
+    # the tower's value by the first-shipped walk over its members
+    value = sum(min(w[v] for v in level) for level in tower)
+    if partition_price(partition, w) != value:
         raise InternalError("certificate value does not match partition price")
     return partition, tuple(tower)

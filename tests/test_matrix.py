@@ -30,6 +30,7 @@ from cfrs.matrix import (
     _first_rows,
     _laminar_tree,
     bits_of,
+    mask_of,
     select,
     transpose,
 )
@@ -593,6 +594,25 @@ def test_laminar_sweep_matches_decreasing_size_reference():
                for matrix in laminar)
     assert all(isinstance(_laminar_tree(matrix.col_masks, matrix.m, _first_rows(matrix)),
                           ConflictWitness) for matrix in crossed)
+
+
+def test_first_rows_matches_first_occurrence_formula(monkeypatch):
+    # the bitset of rows first with their pattern, as mask_of of each
+    # pattern's first index, with no mask_of call
+    import cfrs.matrix
+
+    rng = random.Random(3434)
+    corpus = differential_corpus()
+    repeated = [with_repeated_rows(matrix, rng) for matrix in corpus]
+    repeated.append(BinaryMatrix.from_row_masks(3, [5, 5, 2, 5, 2, 7, 7]))
+    expected = [mask_of(dict(zip(m.row_masks[::-1], range(m.m - 1, -1, -1))).values())
+                for m in corpus + repeated]
+    calls = []
+    monkeypatch.setattr(cfrs.matrix, "mask_of", calls.append)
+    assert [_first_rows(matrix) for matrix in corpus + repeated] == expected
+    assert calls == []
+    assert _first_rows(repeated[-1]) == 0b100101  # rows 0, 2 and 5
+    assert sum(matrix.distinct_row_masks is not matrix.row_masks for matrix in repeated) > 50
 
 
 def test_laminar_sweep_writes_each_row_node_once(monkeypatch):

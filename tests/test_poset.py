@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import cfrs
 from cfrs import (
     BudgetError,
     Dag,
@@ -15,6 +20,7 @@ from cfrs import (
     min_price_chain_partition,
     width,
 )
+from cfrs.matrix import bits_of, mask_of
 from cfrs.poset import (
     is_antichain,
     is_chain_partition,
@@ -60,11 +66,11 @@ def test_dilworth_block_tree_has_nine_chains():
 
 
 def test_maximum_antichain_cases():
-    assert maximum_antichain(chain_dag(4)) <= {0, 1, 2, 3}
-    assert len(maximum_antichain(chain_dag(4))) == 1
+    assert 0 < maximum_antichain(chain_dag(4)) < 1 << 4
+    assert maximum_antichain(chain_dag(4)).bit_count() == 1
     d = build_containment(gen_block_tree(3, 3))
-    assert maximum_antichain(d) == frozenset(range(9))
-    assert len(maximum_antichain(GAP_DAG)) == 2 == oracle_max_antichain_size(GAP_DAG)
+    assert maximum_antichain(d) == (1 << 9) - 1
+    assert maximum_antichain(GAP_DAG).bit_count() == 2 == oracle_max_antichain_size(GAP_DAG)
 
 
 @settings(max_examples=100, deadline=None)
@@ -75,7 +81,7 @@ def test_dilworth_partition_is_minimal(dag):
     assert len(partition) == width(dag)
     antichain = maximum_antichain(dag)
     assert is_antichain(dag, antichain)
-    assert len(antichain) == width(dag)
+    assert antichain.bit_count() == width(dag)
 
 
 def test_dilworth_and_antichain_agree_with_width_on_corpus():
@@ -87,20 +93,58 @@ def test_dilworth_and_antichain_agree_with_width_on_corpus():
         antichain = maximum_antichain(dag)
         assert is_chain_partition(dag, partition)
         assert is_antichain(dag, antichain)
-        assert len(partition) == len(antichain) == width(dag)
+        assert len(partition) == antichain.bit_count() == width(dag)
 
 
 def test_evaluate_basics():
     d = chain_dag(3)
     ones = [1, 1, 1]
     partition = ((0, 1, 2),)
-    tower = (frozenset({1}),)
+    tower = (0b010,)
+    assert is_tower(d, tower)
     assert evaluate(partition, tower, ones) == (1, 1)
     # constant weights make any tower's value the width
     d2 = Dag(3)
-    tower2 = (frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2}))
+    tower2 = (0b001, 0b011, 0b111)
     assert is_tower(d2, tower2)
     assert tower_value(tower2, ones) == 3 == width(d2)
+    assert tower_value(tower2, [5, 2, 7]) == 5 + 2 + 2
+
+
+def _member_walk_value(tower, weights):
+    return sum(min(weights[v] for v in bits_of(level)) for level in tower)
+
+
+def test_tower_value_is_the_per_level_minimum():
+    rng = random.Random(4545)
+    for trial in range(600):
+        n = rng.randint(1, 70)
+        weights = [(rng.randint(0, 3), rng.randint(0, 10**6), 0, 7)[trial % 4]
+                   for _ in range(n)]  # tied, spread, all zero, one weight
+        tower = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(0, 12))]
+        tower += [1 << rng.randrange(n), (1 << n) - 1]
+        assert tower_value(tower, weights) == _member_walk_value(tower, weights)
+        assert tower_value(tower, tuple(weights)) == _member_walk_value(tower, weights)
+    assert tower_value((), []) == tower_value((), [4, 1]) == 0
+    for bad in (0, 1 << 3, 0b1001, -1):
+        with pytest.raises(ValueError):
+            tower_value((0b001, bad), [1, 2, 3])
+
+
+def test_is_tower_rejects_bad_levels():
+    dag = Dag(4, [(0, 1), (2, 3)])  # width 2: one of 0, 1 and one of 2, 3
+    assert is_tower(dag, (0b0001, 0b0101))
+    assert is_tower(dag, (0b1000, 0b1010))
+    assert not is_tower(dag, (0b0001,))  # a level short
+    assert not is_tower(dag, (0b0001, 0b0101, 0b1010))  # a level too many
+    assert not is_tower(dag, (0b0101, 0b0101))  # the first level is too big
+    assert not is_tower(dag, (0b0001, 0b0001))  # the second level is too small
+    assert not is_tower(dag, (1 << 4, 0b0101))  # bit at n
+    assert not is_tower(dag, (0b0001, 1 << 6 | 1))  # bit above n
+    assert not is_tower(dag, (0b0001, 0b0011))  # 0 reaches 1
+    assert not is_tower(dag, (0b1000, 0b1100))  # 2 reaches 3
+    assert not is_antichain(dag, -1)
+    assert is_antichain(dag, 0) and is_antichain(dag, 0b0110)
 
 
 def test_evaluate_gap_partition():
@@ -260,11 +304,18 @@ def _min_price_corpus():
 
 
 def test_min_price_and_antichain_match_the_reference_algorithm():
+    # the references give frozensets; every level and antichain here is the
+    # same vertex set as an int bitset
     checked = differences = 0
     for dag, weights in _min_price_corpus():
-        expected = reference_min_price_chain_partition(dag, weights)
-        differences += min_price_chain_partition(dag, weights) != expected
-        differences += maximum_antichain(dag) != reference_maximum_antichain(dag)
+        partition, tower = reference_min_price_chain_partition(dag, weights)
+        expected = (partition, tuple(map(mask_of, tower)))
+        result = min_price_chain_partition(dag, weights)
+        differences += result != expected
+        differences += any(type(level) is not int for level in result[1])
+        antichain = maximum_antichain(dag)
+        differences += antichain != mask_of(reference_maximum_antichain(dag))
+        differences += type(antichain) is not int
         checked += 1
     assert checked == 2000 + 2 * 15
     assert differences == 0
@@ -286,7 +337,7 @@ def test_maximum_antichain_by_reach_size_needs_no_topological_order():
         antichain = maximum_antichain(digraph)
         assert "topological_order" not in digraph.__dict__
         assert "in_masks" not in digraph.__dict__
-        assert antichain == reference_maximum_antichain(digraph)
+        assert antichain == mask_of(reference_maximum_antichain(digraph))
 
 
 def test_min_price_on_large_inputs_needs_no_recursion():
@@ -294,7 +345,7 @@ def test_min_price_on_large_inputs_needs_no_recursion():
     path = Dag(n, [(i, i + 1) for i in range(n - 1)])
     partition, tower = min_price_chain_partition(path, list(range(n)))
     assert partition == (tuple(range(n)),)
-    assert tower == (frozenset({n - 1}),)
+    assert tower == (1 << n - 1,)
 
     nested = build_containment(nested_prefix(2000, random.Random(7)))
     sizes = [s.bit_count() for s in nested.supports]
@@ -305,5 +356,39 @@ def test_min_price_on_large_inputs_needs_no_recursion():
     n = 1000
     partition, tower = min_price_chain_partition(Dag(n), [3] * n)
     assert partition == tuple((v,) for v in range(n))
-    assert len(tower) == n
-    assert [len(level) for level in tower] == list(range(1, n + 1))
+    # the vertices join back heaviest index first, and all are free
+    assert tower == tuple((1 << n) - (1 << n - i) for i in range(1, n + 1))
+
+
+def test_dropped_tower_vertex_raises_under_python_optimize():
+    # -O strips assert statements; a tower level that lost a vertex must
+    # still fail the certificate check, whichever level it is
+    script = "\n".join((
+        "from cfrs import InternalError, build_containment, gen_block_tree",
+        "from cfrs.matching import LiveMatching",
+        "from cfrs.poset import min_price_chain_partition",
+        "print('debug:', __debug__)",
+        "dag = build_containment(gen_block_tree(3, 3))",
+        "sizes = [s.bit_count() for s in dag.supports]",
+        "antichain = LiveMatching.antichain",
+        "for broken in range(9):",
+        "    levels = []",
+        "    def dropping(live):",
+        "        levels.append(antichain(live))",
+        "        level = levels[-1]",
+        "        return level & (level - 1) if len(levels) == broken + 1 else level",
+        "    LiveMatching.antichain = dropping",
+        "    try:",
+        "        min_price_chain_partition(dag, sizes)",
+        "    except InternalError as exc:",
+        "        print('raised:', broken, exc)",
+    ))
+    src = str(Path(cfrs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-O", "-c", script],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "debug: False" in result.stdout
+    assert [line for line in result.stdout.splitlines() if line.startswith("raised:")] == [
+        f"raised: {i} min-price tower levels are not of sizes 1..width" for i in range(9)]
