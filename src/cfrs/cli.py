@@ -59,7 +59,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _load_matrix(path: str) -> BinaryMatrix:
-    return formats.parse_matrix(_read(path))
+    with open(path, "r", encoding="utf-8") as handle:
+        return formats.parse_matrix(handle)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,7 +174,8 @@ def _cmd_solve(args) -> int:
         print(f"{key}: {value}")
     print(f"elapsed: {report.elapsed_seconds:.3f}s", file=sys.stderr)
     if args.out:
-        _write(args.out, formats.format_split(split))
+        with open(args.out, "w", encoding="utf-8") as handle:
+            formats.format_split(split, handle)
     if args.json:
         _write(args.json, json.dumps(report.to_json_dict(), indent=2) + "\n")
     return 0
@@ -181,7 +183,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     matrix = _load_matrix(args.matrix)
-    split = formats.parse_split(_read(args.split))
+    with open(args.split, "r", encoding="utf-8") as handle:
+        split = formats.parse_split(handle)
     verdict = verify_row_split(matrix, split)
     if verdict.ok:
         print("accept")

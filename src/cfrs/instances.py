@@ -57,7 +57,8 @@ class CubicGraph:
 def parse_edge_list(text: str) -> CubicGraph:
     """Read a cubic graph from 'u v' lines; '#' starts a comment."""
     pairs = []
-    for lineno, line in zip(*_content_lines(text)):
+    numbers, lines, _ = _content_lines(text)
+    for lineno, line in zip(numbers, lines):
         parts = line.split()
         if len(parts) != 2:
             raise MatrixError(f"line {lineno}: expected 'u v', got {line!r}")

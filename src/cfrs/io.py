@@ -8,12 +8,15 @@ the same format, a blank line, then m lines "i: j1 j2 ..." giving the
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Iterator
+from itertools import chain, compress
+from typing import Iterator, TextIO
 
 from .containment import ContainmentDigraph, Dag
 from .errors import MatrixError
 from .matrix import BinaryMatrix, PhyloTree, RowSplit, select
+
+# characters per read and, roughly, per write of a matrix or split file
+_CHUNK = 1 << 16
 
 
 def format_matrix(matrix: BinaryMatrix) -> str:
@@ -23,17 +26,47 @@ def format_matrix(matrix: BinaryMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _content_lines(text: str) -> tuple[list[int], list[str]]:
-    """The 1-based numbers and the stripped text of the lines left non-empty
-    once '#' comments are cut, as two parallel lists in file order."""
+def _content_lines(text: str, start: int = 0) -> tuple[list[int], list[str], int]:
+    """The numbers and the stripped text of the lines left non-empty once
+    '#' comments are cut, as two parallel lists in file order, and the count
+    of all lines; the first line is numbered start + 1."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
     lines = list(map(str.strip, lines))
-    return list(compress(range(1, len(lines) + 1), lines)), list(compress(lines, lines))
+    numbers = range(start + 1, start + len(lines) + 1)
+    return list(compress(numbers, lines)), list(compress(lines, lines)), len(lines)
 
 
-def _parse_matrix_lines(numbers: list[int], lines: list[str]) -> BinaryMatrix:
+def _content_pieces(source: TextIO) -> Iterator[tuple[list[int], list[str]]]:
+    """``_content_lines`` of a text stream read ``_CHUNK`` characters at a
+    time, numbered as in the whole file, for each piece that has any.  Each
+    read is cut after its last newline and the rest carried, raw, into the
+    next piece, so no line and no CR LF pair is split between two pieces.
+    A read shorter than ``_CHUNK`` is the last, as io's text streams return
+    fewer characters than asked only at the end, so a short file costs one
+    read and one ``_content_lines`` call."""
+    start, carry = 0, ""
+    while True:
+        chunk = source.read(_CHUNK)
+        end = len(chunk) < _CHUNK
+        cut = len(chunk) if end else chunk.rfind("\n") + 1
+        if cut or end:
+            numbers, lines, count = _content_lines(carry + chunk[:cut], start)
+            start, carry = start + count, ""
+            if lines:
+                yield numbers, lines
+        if end:
+            return
+        carry += chunk[cut:]
+
+
+def _read_matrix(pieces: Iterator[tuple[list[int], list[str]]]
+                 ) -> tuple[BinaryMatrix, list[int], list[str]]:
+    """The matrix block at the head of ``pieces``, and the content lines
+    left in the piece where it ends.  Only the distinct row texts and the
+    masks are kept."""
+    numbers, lines = next(pieces, ([], []))
     if not lines:
         raise MatrixError("empty matrix file")
     header = lines[0]
@@ -42,64 +75,88 @@ def _parse_matrix_lines(numbers: list[int], lines: list[str]) -> BinaryMatrix:
     if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise MatrixError(f"line {numbers[0]}: expected header 'm n', got {header!r}")
     m, n = int(parts[0]), int(parts[1])
-    if len(lines) - 1 < m:
-        raise MatrixError(f"expected {m} matrix rows, found {len(lines) - 1}")
     # each distinct row text is checked and converted once, in order of first
-    # appearance, so the first bad text met is on the first bad line
-    texts = lines[1:m + 1]
+    # appearance, so the first bad text met is on the first bad line; its
+    # error waits until the row count is known, as that is checked first
     table: dict[str, int] = {}
-    for line in dict.fromkeys(texts):
-        # int(..., 2) alone would also take '_', '+', spaces and
-        # non-ASCII digits; counting the 0s and 1s rejects them at
-        # under half the cost per character of line.strip("01")
-        if len(line) != n or line.count("0") + line.count("1") != n:
-            raise MatrixError(f"line {numbers[texts.index(line) + 1]}: expected {n} "
-                              f"characters over 01, got {line!r}")
-        table[line] = int(line[::-1], 2)
-    return BinaryMatrix.from_row_masks(n, map(table.__getitem__, texts))
+    masks: list[int] = []
+    found, first, error = 0, 1, None
+    while True:
+        texts = lines[first:first + m - found]
+        for line in dict.fromkeys(texts) if error is None else ():
+            if line in table:
+                continue
+            # int(..., 2) alone would also take '_', '+', spaces and
+            # non-ASCII digits; counting the 0s and 1s rejects them at
+            # under half the cost per character of line.strip("01")
+            if len(line) != n or line.count("0") + line.count("1") != n:
+                error = MatrixError(f"line {numbers[first + texts.index(line)]}: expected "
+                                    f"{n} characters over 01, got {line!r}")
+                break
+            table[line] = int(line[::-1], 2)
+        if error is None:
+            masks += map(table.__getitem__, texts)
+        found += len(texts)
+        if found == m:
+            break
+        (numbers, lines), first = next(pieces, ([], [])), 0
+        if not lines:
+            raise MatrixError(f"expected {m} matrix rows, found {found}")
+    if error is not None:
+        raise error
+    end = first + len(texts)
+    return BinaryMatrix.from_row_masks(n, masks), numbers[end:], lines[end:]
 
 
-def parse_matrix(text: str) -> BinaryMatrix:
-    numbers, lines = _content_lines(text)
-    matrix = _parse_matrix_lines(numbers, lines)
-    if len(lines) != matrix.m + 1:
+def parse_matrix(source: TextIO) -> BinaryMatrix:
+    """The matrix in a text stream, read in pieces of ``_CHUNK`` characters."""
+    pieces = _content_pieces(source)
+    matrix, _, lines = _read_matrix(pieces)
+    if lines or next(pieces, None):
         raise MatrixError("trailing content after the matrix rows")
     return matrix
 
 
-def format_split(split: RowSplit) -> str:
-    """The split matrix as a matrix file, a blank line, then the group lines;
-    each distinct split row is formatted once."""
+def format_split(split: RowSplit, out: TextIO) -> None:
+    """Write the split matrix as a matrix file, a blank line, then the group
+    lines, to a text stream: the rows in batches of about ``_CHUNK``
+    characters, each distinct row formatted once, and the group lines (one
+    per source row) through one ``writelines``."""
     matrix = split.matrix
     spec = f"0{matrix.n}b"
-    text = {mask: format(mask, spec)[::-1] for mask in matrix.distinct_row_masks}
-    lines = [f"{matrix.m} {matrix.n}", *map(text.__getitem__, matrix.row_masks), ""]
-    lines += [f"{i}: " + " ".join(map(str, map((1).__add__, group)))
-              for i, group in enumerate(split.groups, start=1)]
-    return "\n".join(lines) + "\n"
+    text = {mask: format(mask, spec)[::-1] + "\n" for mask in matrix.distinct_row_masks}
+    rows = matrix.row_masks
+    step = max(1, _CHUNK // (matrix.n + 1))
+    out.write(f"{matrix.m} {matrix.n}\n")
+    for start in range(0, len(rows), step):
+        out.write("".join(map(text.__getitem__, rows[start:start + step])))
+    out.write("\n")
+    out.writelines(f"{i}: " + " ".join(map(str, map((1).__add__, group))) + "\n"
+                   for i, group in enumerate(split.groups, start=1))
 
 
-def parse_split(text: str) -> RowSplit:
-    numbers, lines = _content_lines(text)
-    matrix = _parse_matrix_lines(numbers, lines)
-    start = matrix.m + 1
-    if len(lines) == start:
-        raise MatrixError("split file has no group lines")
+def parse_split(source: TextIO) -> RowSplit:
+    """The split in a text stream, read in pieces of ``_CHUNK`` characters."""
+    pieces = _content_pieces(source)
+    matrix, numbers, lines = _read_matrix(pieces)
     groups: dict[int, tuple[int, ...]] = {}
-    for lineno, line in zip(numbers[start:], lines[start:]):
-        head, sep, rest = line.partition(":")
-        if not sep or not head.strip().isdecimal():
-            raise MatrixError(f"line {lineno}: expected 'i: j1 j2 ...', got {line!r}")
-        i = int(head)
-        if i in groups:
-            raise MatrixError(f"line {lineno}: duplicate group for row {i}")
-        tokens = rest.split()
-        if tokens and not "".join(tokens).isdecimal():
-            raise MatrixError(f"line {lineno}: non-integer split-row index")
-        members = tuple(map((-1).__add__, map(int, tokens)))
-        if -1 in members:
-            raise MatrixError(f"line {lineno}: split-row indices are 1-based")
-        groups[i] = members
+    for numbers, lines in chain([(numbers, lines)], pieces):
+        for lineno, line in zip(numbers, lines):
+            head, sep, rest = line.partition(":")
+            if not sep or not head.strip().isdecimal():
+                raise MatrixError(f"line {lineno}: expected 'i: j1 j2 ...', got {line!r}")
+            i = int(head)
+            if i in groups:
+                raise MatrixError(f"line {lineno}: duplicate group for row {i}")
+            tokens = rest.split()
+            if tokens and not "".join(tokens).isdecimal():
+                raise MatrixError(f"line {lineno}: non-integer split-row index")
+            members = tuple(map((-1).__add__, map(int, tokens)))
+            if -1 in members:
+                raise MatrixError(f"line {lineno}: split-row indices are 1-based")
+            groups[i] = members
+    if not groups:
+        raise MatrixError("split file has no group lines")
     count = len(groups)
     if sorted(groups) != list(range(1, count + 1)):
         raise MatrixError("group lines must cover rows 1..m exactly once")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import random
 from functools import reduce
@@ -22,6 +23,7 @@ from cfrs import (
     verify_row_split,
 )
 from cfrs.errors import BudgetError, InternalError, MatrixError
+from cfrs.io import format_split
 from cfrs.matching import LiveMatching, maximum_bipartite_matching
 from cfrs.matrix import ConflictWitness, RowSplit, bits_of, mask_of, select, transpose
 from cfrs.poset import _validated_weights, is_chain_partition, is_monotone, partition_price
@@ -37,6 +39,18 @@ IDENTITY_2 = BinaryMatrix(((1, 0), (0, 1)))
 
 # 4-vertex gap instance {a},{b},{a,b},{b,c} with inclusion arcs
 GAP_DAG = Dag(4, [(0, 2), (1, 2), (1, 3)])
+
+
+def stream(text: str) -> io.StringIO:
+    """``text`` as the text stream that the file readers take."""
+    return io.StringIO(text)
+
+
+def split_text(split: RowSplit) -> str:
+    """The split file that ``format_split`` writes for ``split``."""
+    out = io.StringIO()
+    format_split(split, out)
+    return out.getvalue()
 
 
 def gap_weights(z: int, Z: int) -> list[int]:

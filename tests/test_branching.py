@@ -692,7 +692,8 @@ def test_branching_self_checks_survive_python_optimize(tmp_path):
         "print('debug:', __debug__)",
         "cfrs.branching._laminar_tree = lambda supports, m, first: "
         "cfrs.matrix.ConflictWitness(0, 1, (0, 1, 2))",
-        "matrix = parse_matrix(open(sys.argv[1]).read())",
+        "with open(sys.argv[1], encoding='utf-8') as handle:",
+        "    matrix = parse_matrix(handle)",
         "try:",
         "    split_to_branching(matrix, RowSplit(matrix, ((0,), (1,), (2,))))",
         "except InternalError as exc:",

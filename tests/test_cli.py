@@ -8,14 +8,14 @@ import pytest
 import cfrs.containment
 import cfrs.matrix
 from cfrs.cli import main
-from cfrs.io import format_matrix, format_split
+from cfrs.io import format_matrix
 from cfrs.matrix import _laminar_tree
 from cfrs import (ConflictError, branching_state_count, build_containment, build_phylogeny,
                   find_conflict, gen_block_tree, gen_random, gen_random_laminar,
                   verify_row_split)
 
 from tests.helpers import (CROSSING_PAIR, differential_corpus, identity_split, k4,
-                           reference_sweep_conflict, with_last_pair_crossing,
+                           reference_sweep_conflict, split_text, with_last_pair_crossing,
                            with_repeated_rows)
 
 
@@ -150,9 +150,32 @@ def test_solve_then_verify_round_trip(block_tree_file, tmp_path, capsys):
 def test_verify_rejects(tmp_path, capsys):
     matrix_path = write(tmp_path / "m.txt", format_matrix(CROSSING_PAIR))
     split_path = write(tmp_path / "s.txt",
-                       format_split(identity_split(CROSSING_PAIR)))
+                       split_text(identity_split(CROSSING_PAIR)))
     assert main(["verify", matrix_path, split_path]) == 1
     assert "reject" in capsys.readouterr().out
+
+
+def test_bad_utf8_past_the_first_chunk_exits_1(tmp_path, capsys):
+    # 24,000 rows "10" / "01" fill 72,000 characters, past the first chunk a
+    # reader takes; the bad byte is in the matrix file's last row, or on a
+    # line after the split file's last group line
+    rows = "10\n01\n" * 12000
+    matrix_path = write(tmp_path / "m.txt", f"24000 2\n{rows}")
+    bad_matrix = tmp_path / "bad-m.txt"
+    bad_matrix.write_bytes(f"24000 2\n{rows[:-3]}".encode() + b"0\xff\n")
+    groups = "".join(f"{i}: {i}\n" for i in range(1, 24001))
+    bad_split = tmp_path / "bad-s.txt"
+    bad_split.write_bytes(f"24000 2\n{rows}\n{groups}".encode() + b"\xff\n")
+    for argv in (["analyze", str(bad_matrix)], ["verify", str(bad_matrix), matrix_path],
+                 ["verify", matrix_path, str(bad_split)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'utf-8' codec can't decode")
+        assert "Traceback" not in captured.err
+    bad_split.write_bytes(f"24000 2\n{rows}\n{groups}".encode())
+    assert main(["verify", matrix_path, str(bad_split)]) == 0
+    assert capsys.readouterr().out == "accept\n"
 
 
 def test_budget_exit_code(block_tree_file, capsys, monkeypatch):

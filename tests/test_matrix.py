@@ -53,6 +53,7 @@ from tests.helpers import (
     reference_row_masks,
     reference_sweep_conflict,
     reference_transpose,
+    stream,
     tree_k,
     with_last_pair_crossing,
     with_repeated_rows,
@@ -230,7 +231,7 @@ def test_every_construction_agrees(matrix):
         BinaryMatrix(tuple(list(row) for row in matrix.rows)),
         BinaryMatrix.from_row_masks(matrix.n, matrix.row_masks),
         BinaryMatrix.from_col_masks(matrix.m, matrix.col_masks),
-        parse_matrix(format_matrix(matrix)),
+        parse_matrix(stream(format_matrix(matrix))),
     )
     for other in built:
         assert other.rows == matrix.rows
