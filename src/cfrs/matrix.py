@@ -21,7 +21,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
+from operator import countOf, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConflictError, MatrixError
@@ -362,6 +363,16 @@ def count_distinct_rows(matrix: BinaryMatrix) -> int:
     return len(matrix.distinct_row_masks)
 
 
+def _lists_rows_in_order(groups: Sequence[Sequence[int]], rows: int) -> bool:
+    """True iff the groups, read in order, list split rows 0..rows-1 in
+    order, as every branching split does: one C-level pass, which allocates
+    nothing per row, since each difference of neighbours is the cached 1."""
+    if sum(map(len, groups)) != rows:
+        return False
+    flat, ahead = chain.from_iterable(groups), chain.from_iterable(groups)
+    return next(ahead, 0) == 0 and countOf(map(sub, ahead, flat), 1) == rows - 1
+
+
 def verify_row_split(source: BinaryMatrix, candidate: RowSplit) -> Verdict:
     """Check that ``candidate`` is a conflict-free row split of ``source``.
 
@@ -377,18 +388,19 @@ def verify_row_split(source: BinaryMatrix, candidate: RowSplit) -> Verdict:
         )
     if len(candidate.groups) != source.m:
         return Verdict(False, f"expected {source.m} groups, got {len(candidate.groups)}")
-    seen: set[int] = set()
-    for i, group in enumerate(candidate.groups):
-        for idx in group:
-            if not 0 <= idx < rows:
-                return Verdict(False, f"group for row r{i + 1} "
-                                      f"names split row {idx + 1}, out of range")
-            if idx in seen:
-                return Verdict(False, f"split row {idx + 1} appears in two groups")
-            seen.add(idx)
-    if len(seen) != rows:
-        missing = next(i for i in range(rows) if i not in seen)
-        return Verdict(False, f"split row {missing + 1} is in no group")
+    if not _lists_rows_in_order(candidate.groups, rows):  # name the first failure
+        seen: set[int] = set()
+        for i, group in enumerate(candidate.groups):
+            for idx in group:
+                if not 0 <= idx < rows:
+                    return Verdict(False, f"group for row r{i + 1} "
+                                          f"names split row {idx + 1}, out of range")
+                if idx in seen:
+                    return Verdict(False, f"split row {idx + 1} appears in two groups")
+                seen.add(idx)
+        if len(seen) != rows:
+            missing = next(i for i in range(rows) if i not in seen)
+            return Verdict(False, f"split row {missing + 1} is in no group")
     for i, group in enumerate(candidate.groups):
         combined = 0
         for idx in group:

@@ -30,7 +30,7 @@ from .branching import (
     exact_min_uncovered,
     linear_from_chains,
 )
-from .containment import ContainmentDigraph, build_containment, height, width
+from .containment import ContainmentDigraph, build_containment, height
 from .errors import InternalError
 from .matrix import (
     BinaryMatrix,
@@ -38,7 +38,7 @@ from .matrix import (
     count_distinct_rows,
     verify_row_split,
 )
-from .poset import min_price_chain_partition, partition_price
+from .poset import maximum_antichain, min_price_chain_partition, partition_price
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ def _solve(matrix: BinaryMatrix, method: str,
             raise InternalError(f"{method} split has {got} {name}, "
                                 f"its search claimed {claims[name]}")
     report = {"beta_lower_bound": matrix.m, "tower_value": None, **counts, **claims}
-    if "width" not in report:
-        report["width"] = width(digraph)
+    if "width" not in report:  # Dilworth: a maximum antichain's size
+        report["width"] = maximum_antichain(digraph).bit_count()
     return split, SolveReport(method=method, height=height(digraph), k=digraph.n,
                               elapsed_seconds=time.perf_counter() - started, **report)
 

@@ -25,7 +25,8 @@ from cfrs import (
 from cfrs.errors import BudgetError, InternalError, MatrixError
 from cfrs.io import format_split
 from cfrs.matching import LiveMatching, maximum_bipartite_matching
-from cfrs.matrix import ConflictWitness, RowSplit, bits_of, mask_of, select, transpose
+from cfrs.matrix import (ACCEPT, ConflictWitness, RowSplit, Verdict, bits_of, find_conflict,
+                         mask_of, select, transpose)
 from cfrs.poset import _validated_weights, is_chain_partition, is_monotone, partition_price
 
 # rows (1,1),(1,0),(0,1): the two column supports cross, so the matrix has a
@@ -955,3 +956,39 @@ def reference_min_price_chain_partition(dag: Dag, weights):
     if partition_price(partition, w) != value:
         raise InternalError("certificate value does not match partition price")
     return partition, tuple(tower)
+
+
+def reference_verify_row_split(source: BinaryMatrix, candidate: RowSplit) -> Verdict:
+    """``verify_row_split`` as it was before its one-pass partition check:
+    every split-row index goes through a range test and a set."""
+    split = candidate.matrix
+    rows = split.m
+    if split.n != source.n:
+        raise MatrixError(
+            f"column count mismatch: split has {split.n}, source has {source.n}"
+        )
+    if len(candidate.groups) != source.m:
+        return Verdict(False, f"expected {source.m} groups, got {len(candidate.groups)}")
+    seen: set[int] = set()
+    for i, group in enumerate(candidate.groups):
+        for idx in group:
+            if not 0 <= idx < rows:
+                return Verdict(False, f"group for row r{i + 1} "
+                                      f"names split row {idx + 1}, out of range")
+            if idx in seen:
+                return Verdict(False, f"split row {idx + 1} appears in two groups")
+            seen.add(idx)
+    if len(seen) != rows:
+        missing = next(i for i in range(rows) if i not in seen)
+        return Verdict(False, f"split row {missing + 1} is in no group")
+    for i, group in enumerate(candidate.groups):
+        combined = 0
+        for idx in group:
+            combined |= split.row_masks[idx]
+        if combined != source.row_masks[i]:
+            return Verdict(False, f"group for row r{i + 1} does not OR to it")
+    witness = find_conflict(split)
+    if witness is not None:
+        return Verdict(False, f"split is not conflict-free: {witness.describe()}",
+                       witness)
+    return ACCEPT

@@ -12,6 +12,8 @@ from cfrs import (
     BinaryMatrix,
     ConflictError,
     MatrixError,
+    approx_distinct_2,
+    approx_height,
     build_containment,
     build_phylogeny,
     count_distinct_rows,
@@ -19,6 +21,7 @@ from cfrs import (
     gen_block_tree,
     gen_random_laminar,
     reduce_columns,
+    solve_linear_heuristic,
     verify_row_split,
 )
 from cfrs.io import format_matrix, parse_matrix
@@ -53,6 +56,7 @@ from tests.helpers import (
     reference_row_masks,
     reference_sweep_conflict,
     reference_transpose,
+    reference_verify_row_split,
     stream,
     tree_k,
     with_last_pair_crossing,
@@ -144,6 +148,64 @@ def test_verify_rejects_broken_partition():
     assert "two groups" in verify_row_split(NESTED_PAIR, split).reason
     split = RowSplit(NESTED_PAIR, ((0,), ()))
     assert not verify_row_split(NESTED_PAIR, split).ok
+
+
+def _partition_corruptions(split: RowSplit, rng: random.Random):
+    """(label, candidate) pairs: ``split`` itself, valid reorderings of it,
+    and copies with one fault seeded in the partition."""
+    matrix, groups, rows = split.matrix, [list(g) for g in split.groups], split.matrix.m
+
+    def regrouped(new_groups, masks=matrix.row_masks):
+        return RowSplit(BinaryMatrix.from_row_masks(matrix.n, masks),
+                        tuple(map(tuple, new_groups)))
+
+    yield "valid in order", split
+    order = rng.sample(range(rows), rows)  # split row p moves to order[p]
+    masks = [0] * rows
+    for p, q in enumerate(order):
+        masks[q] = matrix.row_masks[p]
+    yield "split rows reordered", regrouped([[order[p] for p in g] for g in groups], masks)
+    yield "members reversed", regrouped(g[::-1] for g in groups)
+    yield "groups reversed", regrouped(groups[::-1])
+    yield "indices shifted by one", regrouped([p + 1 for p in g] for g in groups)
+    yield "one group too few", regrouped(groups[:-1])
+    yield "one group too many", regrouped(groups + [[]])
+    yield "extra split row in no group", regrouped(groups, matrix.row_masks
+                                                   + (matrix.row_masks[0],))
+    i = rng.randrange(len(groups))  # no row is all zeros, so no group is empty
+    at = rng.randrange(len(groups[i]))
+    p = groups[i][at]
+    extra = [list(g) for g in groups]
+    extra[i].append(rows)
+    yield "extra split row in a group", regrouped(extra, matrix.row_masks
+                                                  + (matrix.row_masks[p],))
+    for label, edit in (
+        ("index repeated beside itself", lambda g: g.insert(at, p)),
+        ("index missing", lambda g: g.pop(at)),
+        *((f"index {bad} out of range", lambda g, bad=bad: g.__setitem__(at, bad))
+          for bad in (rows, rows + 7, -1, -rows - 1)),
+    ):
+        corrupt = [list(g) for g in groups]
+        edit(corrupt[i])
+        yield label, regrouped(corrupt)
+    corrupt = [list(g) for g in groups]
+    corrupt[rng.randrange(len(groups))].append(p)
+    yield "index repeated in some group", regrouped(corrupt)
+
+
+def test_partition_pass_matches_per_index_reference():
+    # the one-pass partition check accepts exactly the splits and names
+    # exactly the first failure that the per-index loop did
+    rng = random.Random(2929)
+    reasons = set()
+    for matrix in random_corpus(40, max_side=7, seed=29) + [nested_prefix(30, rng)]:
+        for solve in (approx_height, approx_distinct_2, solve_linear_heuristic):
+            for label, candidate in _partition_corruptions(solve(matrix)[0], rng):
+                verdict = verify_row_split(matrix, candidate)
+                assert verdict == reference_verify_row_split(matrix, candidate), label
+                reasons.add(verdict.reason and verdict.reason.split(" ")[-1])
+    # every rejection of the partition, and acceptance, was exercised
+    assert {None, "range", "groups", "group", "it"} <= reasons
 
 
 def test_verify_dimension_mismatch_is_an_error():

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from functools import partial
@@ -15,6 +16,7 @@ from cfrs import (
     build_containment,
     find_conflict,
     gen_block_tree,
+    gen_random,
     solve_exact,
     solve_linear_heuristic,
     verify_row_split,
@@ -32,6 +34,7 @@ from tests.helpers import (
     NESTED_PAIR,
     count_distinct_cols,
     duplicate_column,
+    nested_prefix,
     random_corpus,
 )
 
@@ -124,6 +127,24 @@ def test_every_solver_output_verifies():
             assert report.beta_lower_bound <= report.rows
             assert report.k == count_distinct_cols(matrix)
             assert report.width == width(build_containment(matrix))
+
+
+def test_unclaimed_width_skips_the_closure_list_matcher(monkeypatch):
+    # height, distinct-2 and the exact searches claim no width, so the report
+    # takes the Koenig antichain's size, never the closure-list matching
+    def refuse(adj, n_right):
+        raise AssertionError("the closure-list matcher was called")
+
+    matrices = random_corpus(25, seed=33) + [gen_random(12, 16, 0.3, 0),
+                                             nested_prefix(9, random.Random(9))]
+    solvers = (approx_height, approx_distinct_2, partial(solve_exact, objective="rows"),
+               partial(solve_exact, objective="distinct"))
+    with monkeypatch.context() as patch:
+        patch.setattr("cfrs.containment.maximum_bipartite_matching", refuse)
+        widths = [[solve(matrix)[1].width for solve in solvers] for matrix in matrices]
+    assert find_conflict(matrices[-2]) is not None
+    for matrix, reported in zip(matrices, widths):
+        assert reported == [width(build_containment(matrix))] * len(solvers)
 
 
 def test_dominance_chain_on_corpus():

@@ -49,7 +49,6 @@ def test_every_exported_name_resolves():
 # kept on purpose
 KEEP = {
     "split_to_branching": "the paper's split-to-branching direction, documented in README",
-    "maximum_antichain": "the planned `width`, computed as the size of this antichain",
 }
 
 
