@@ -21,7 +21,6 @@ from .branching import (
 )
 from .containment import (
     ContainmentDigraph,
-    Dag,
     build_containment,
     height,
     width,
@@ -76,7 +75,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryMatrix", "Branching", "BudgetError", "CfrsError", "ColumnReduction",
     "ConflictError", "ConflictWitness", "ContainmentDigraph", "CubicGraph",
-    "Dag", "InternalError", "MatrixError", "PhyloTree", "RowSplit",
+    "InternalError", "MatrixError", "PhyloTree", "RowSplit",
     "SolveReport", "Verdict",
     "approx_distinct_2", "approx_height", "approx_width", "branching_split",
     "branching_state_count", "brute_force_vertex_cover", "build_containment",

@@ -16,7 +16,7 @@ from itertools import islice
 from operator import or_
 from typing import Callable, Optional, Sequence
 
-from .containment import ContainmentDigraph, Dag
+from .containment import ContainmentDigraph
 from .errors import BudgetError, InternalError, MatrixError
 from .matrix import (
     BinaryMatrix,
@@ -61,7 +61,7 @@ def _uncovered(supports: Sequence[int], choice: Sequence[Optional[int]]) -> list
     return [mask & ~covered for mask, covered in zip(supports, cover)]
 
 
-def _checked(digraph: Dag, branching: Branching) -> None:
+def _checked(digraph: ContainmentDigraph, branching: Branching) -> None:
     """Raise ValueError unless every chosen arc exists in the digraph."""
     if branching.k != digraph.n:
         raise ValueError(f"invalid branching: branching covers {branching.k} "
@@ -123,7 +123,7 @@ def split_to_branching(matrix: BinaryMatrix, split: RowSplit) -> Branching:
     red = reduce_columns(matrix)
     supports, rows = _distinct_supports(split.matrix)
     split_masks = tuple(supports[j] for j in red.representative)
-    if len(set(split_masks)) != red.reduced.n:
+    if len(set(split_masks)) != len(red.supports):
         raise InternalError("two distinct source columns coincide in a verified split")
     tree = _laminar_tree(split_masks, rows, -1)
     if not isinstance(tree, tuple):  # a conflict witness
@@ -132,7 +132,7 @@ def split_to_branching(matrix: BinaryMatrix, split: RowSplit) -> Branching:
     return Branching(tuple(p - 1 if p else None for p in tree[1][1:]))
 
 
-def branching_state_count(digraph: Dag) -> int:
+def branching_state_count(digraph: ContainmentDigraph) -> int:
     """Number of branchings: the product over vertices of out-degree + 1."""
     total = 1
     for v in range(digraph.n):
@@ -140,7 +140,7 @@ def branching_state_count(digraph: Dag) -> int:
     return total
 
 
-def _decision_order(digraph: Dag) -> list[int]:
+def _decision_order(digraph: ContainmentDigraph) -> list[int]:
     """Topological order that gets arc heads fully decided early.
 
     Greedy Kahn: among available vertices take the one whose emission

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import chain, compress
 from typing import Iterator, TextIO
 
-from .containment import ContainmentDigraph, Dag
+from .containment import ContainmentDigraph
 from .errors import MatrixError
 from .matrix import BinaryMatrix, PhyloTree, RowSplit, select
 
@@ -170,16 +170,10 @@ def _row_sets(masks: tuple[int, ...], m: int) -> Iterator[str]:
     return ("{" + ",".join(select(names, mask)) + "}" for mask in masks)
 
 
-def digraph_to_dot(digraph: Dag) -> str:
-    """DOT rendering with one node per vertex and one edge per arc.
-
-    Containment digraphs get support-set labels like "{r1,r3}", other
-    digraphs their vertex numbers.
-    """
-    if isinstance(digraph, ContainmentDigraph):
-        labels = _row_sets(digraph.supports, digraph.n_rows)
-    else:
-        labels = map(str, range(digraph.n))
+def digraph_to_dot(digraph: ContainmentDigraph) -> str:
+    """DOT rendering with one node per vertex, labelled with its support
+    like "{r1,r3}", and one edge per arc."""
+    labels = _row_sets(digraph.supports, digraph.n_rows)
     lines = ["digraph containment {"]
     lines.extend(f'  v{v} [label="{label}"];' for v, label in enumerate(labels))
     heads = [f"v{v};" for v in range(digraph.n)]

@@ -266,9 +266,9 @@ class ConflictWitness:
 
 @dataclass(frozen=True)
 class ColumnReduction:
-    """A matrix with duplicate columns collapsed, plus the index mappings."""
+    """A matrix's distinct column supports, plus the index mappings."""
 
-    reduced: BinaryMatrix
+    supports: tuple[int, ...]        # distinct column bitsets, first-appearance order
     class_of: tuple[int, ...]        # original column -> reduced column
     representative: tuple[int, ...]  # reduced column -> smallest original column
 
@@ -344,19 +344,18 @@ def _first_rows(matrix: BinaryMatrix) -> int:
 
 
 def reduce_columns(matrix: BinaryMatrix) -> ColumnReduction:
-    """Collapse identical columns, keeping the first occurrence of each; a
-    matrix whose columns are already distinct is its own reduction."""
+    """Collapse identical columns, keeping the first occurrence of each; the
+    supports of a matrix whose columns are already distinct are ``col_masks``."""
     class_of: list[int] = []
     representative: list[int] = []
-    seen: dict[int, int] = {}
+    seen: dict[int, int] = {}  # support -> reduced column, in first-appearance order
     for j, mask in enumerate(matrix.col_masks):
         if mask not in seen:
             seen[mask] = len(representative)
             representative.append(j)
         class_of.append(seen[mask])
-    reduced = matrix if len(representative) == matrix.n else BinaryMatrix.from_col_masks(
-        matrix.m, tuple(matrix.col_masks[j] for j in representative))
-    return ColumnReduction(reduced, tuple(class_of), tuple(representative))
+    supports = matrix.col_masks if len(seen) == matrix.n else tuple(seen)
+    return ColumnReduction(supports, tuple(class_of), tuple(representative))
 
 
 def count_distinct_rows(matrix: BinaryMatrix) -> int:

@@ -1,5 +1,10 @@
 """Chains, antichains, and minimum-price chain partitions of a DAG.
 
+The functions read only a DAG's ``n``, ``out_masks`` and closure ``reach``
+bitsets; the hints name :class:`cfrs.containment.ContainmentDigraph`, the
+one DAG the pipeline builds, whose ``out_masks`` are its ``reach``.  A
+tower's width is the size of :func:`maximum_antichain`.
+
 A chain is a vertex sequence linked by the transitive closure; its price is
 its maximum vertex weight.  A chain partition's price sums the chain prices.
 A tower has one antichain, an int vertex bitset, of each size 1..width; its
@@ -22,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Sequence
 
-from .containment import Dag, width
+from .containment import ContainmentDigraph
 from .errors import InternalError
 from .matching import LiveMatching
 from .matrix import select, transpose
@@ -33,7 +38,7 @@ Antichain = int  # a vertex bitset
 Tower = tuple[Antichain, ...]
 
 
-def _validated_weights(dag: Dag, weights: Sequence[int]) -> tuple[int, ...]:
+def _validated_weights(dag: ContainmentDigraph, weights: Sequence[int]) -> tuple[int, ...]:
     w = tuple(weights)
     if len(w) != dag.n:
         raise ValueError(f"expected {dag.n} weights, got {len(w)}")
@@ -42,7 +47,7 @@ def _validated_weights(dag: Dag, weights: Sequence[int]) -> tuple[int, ...]:
     return w
 
 
-def is_monotone(dag: Dag, weights: Sequence[int]) -> bool:
+def is_monotone(dag: ContainmentDigraph, weights: Sequence[int]) -> bool:
     """True iff weight(u) <= weight(v) for every arc (u, v), i.e. no vertex
     has an arc to a vertex strictly lighter than itself."""
     w = _validated_weights(dag, weights)
@@ -54,23 +59,23 @@ def is_monotone(dag: Dag, weights: Sequence[int]) -> bool:
     return not any(map(int.__and__, dag.out_masks, map(lighter.__getitem__, w)))
 
 
-def is_chain(dag: Dag, seq: Sequence[int]) -> bool:
+def is_chain(dag: ContainmentDigraph, seq: Sequence[int]) -> bool:
     return all((dag.reach[a] >> b) & 1 for a, b in zip(seq, seq[1:]))
 
 
-def is_chain_partition(dag: Dag, partition: Sequence[Sequence[int]]) -> bool:
+def is_chain_partition(dag: ContainmentDigraph, partition: Sequence[Sequence[int]]) -> bool:
     flat = [v for chain in partition for v in chain]
     return sorted(flat) == list(range(dag.n)) and all(
         is_chain(dag, chain) for chain in partition
     )
 
 
-def is_antichain(dag: Dag, mask: Antichain) -> bool:
+def is_antichain(dag: ContainmentDigraph, mask: Antichain) -> bool:
     return 0 <= mask < 1 << dag.n and not any(map(mask.__and__, select(dag.reach, mask)))
 
 
-def is_tower(dag: Dag, tower: Sequence[Antichain]) -> bool:
-    return len(tower) == width(dag) and all(
+def is_tower(dag: ContainmentDigraph, tower: Sequence[Antichain]) -> bool:
+    return len(tower) == maximum_antichain(dag).bit_count() and all(
         level.bit_count() == i + 1 and is_antichain(dag, level)
         for i, level in enumerate(tower)
     )
@@ -110,7 +115,7 @@ def _chains(live: LiveMatching) -> ChainPartition:
     return tuple(sorted(chains))
 
 
-def maximum_antichain(dag: Dag) -> Antichain:
+def maximum_antichain(dag: ContainmentDigraph) -> Antichain:
     """An antichain of maximum cardinality, from a Koenig vertex cover."""
     reach = dag.reach
     live = LiveMatching(reach, dag.n)
@@ -121,7 +126,7 @@ def maximum_antichain(dag: Dag) -> Antichain:
 
 
 def min_price_chain_partition(
-    dag: Dag, weights: Sequence[int]
+    dag: ContainmentDigraph, weights: Sequence[int]
 ) -> tuple[ChainPartition, Tower]:
     """Minimum-price chain partition with a tower certifying optimality.
 

@@ -14,7 +14,6 @@ from cfrs import (
     Branching,
     ContainmentDigraph,
     CubicGraph,
-    Dag,
     PhyloTree,
     gen_block_tree,
     gen_random,
@@ -37,6 +36,60 @@ CROSSING_PAIR = BinaryMatrix(((1, 1), (1, 0), (0, 1)))
 NESTED_PAIR = BinaryMatrix(((1, 1), (0, 1)))
 
 IDENTITY_2 = BinaryMatrix(((1, 0), (0, 1)))
+
+
+def reference_kahn_order(n: int, arcs) -> tuple[int, ...]:
+    """Kahn's algorithm on a stack over sorted adjacency lists: sources
+    pushed in increasing order, then each popped vertex's out-neighbours in
+    increasing order as their in-degree drops to zero."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in sorted(set(arcs)):
+        out[u].append(v)
+        indeg[v] += 1
+    stack = [v for v in range(n) if indeg[v] == 0]
+    order = []
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                stack.append(w)
+    return tuple(order)
+
+
+class Dag:
+    """A DAG on vertices 0..n-1 from an arc list, for the tests' general DAGs.
+
+    It has what the library reads off a :class:`ContainmentDigraph`: ``n``,
+    out- and in-neighbour bitsets, the closure ``reach`` and ``out``; its
+    ``topological_order`` and cycle check are :func:`reference_kahn_order`'s."""
+
+    def __init__(self, n: int, arcs=()):
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
+        arcs = list(arcs)
+        out = [0] * n
+        for u, v in arcs:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"arc ({u},{v}) is out of range")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            out[u] |= 1 << v
+        self.topological_order = reference_kahn_order(n, arcs)
+        if len(self.topological_order) != n:
+            raise ValueError("digraph contains a cycle")
+        self.n, self.out_masks = n, tuple(out)
+        self.in_masks = transpose(self.out_masks, n)
+        reach = [0] * n
+        for v in reversed(self.topological_order):
+            reach[v] = reduce(or_, select(reach, out[v]), out[v])
+        self.reach = tuple(reach)
+
+    def out(self, v: int) -> tuple[int, ...]:
+        return tuple(bits_of(self.out_masks[v]))
+
 
 # 4-vertex gap instance {a},{b},{a,b},{b,c} with inclusion arcs
 GAP_DAG = Dag(4, [(0, 2), (1, 2), (1, 3)])
@@ -555,27 +608,6 @@ def random_branching(rng: random.Random, digraph: Dag, p_arc: float = 0.6):
 # Pairwise references for the containment digraph and the conflict check
 
 
-def reference_kahn_order(n: int, arcs) -> tuple[int, ...]:
-    """Kahn's algorithm on a stack over sorted adjacency lists: sources
-    pushed in increasing order, then each popped vertex's out-neighbours in
-    increasing order as their in-degree drops to zero."""
-    out: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for u, v in sorted(set(arcs)):
-        out[u].append(v)
-        indeg[v] += 1
-    stack = [v for v in range(n) if indeg[v] == 0]
-    order = []
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                stack.append(w)
-    return tuple(order)
-
-
 def reference_containment(matrix: BinaryMatrix):
     """``(supports, arcs)``: the distinct column supports in first-appearance
     order and every proper inclusion between them, by comparing all pairs."""
@@ -847,7 +879,7 @@ def reference_split_to_branching(matrix: BinaryMatrix, split) -> Branching:
     if not verdict:
         raise MatrixError(f"not a conflict-free row split: {verdict.reason}")
     red = reduce_columns(matrix)
-    k = red.reduced.n
+    k = len(red.supports)
     split_masks = tuple(split.matrix.col_masks[j] for j in red.representative)
     if len(set(split_masks)) != k:
         raise InternalError("two distinct source columns coincide in a verified split")
@@ -909,7 +941,7 @@ def reference_koenig_antichain(live: LiveMatching) -> int:
 def reference_maximum_antichain(dag: Dag) -> frozenset[int]:
     """Koenig's antichain of the whole DAG, its vertices added as sources."""
     live = LiveMatching(dag.reach, dag.n)
-    for v in reversed(dag.topological_order):
+    for v in reversed(reference_kahn_order(dag.n, dag_arcs(dag))):
         live.augment(v)
     return frozenset(bits_of(reference_koenig_antichain(live)))
 

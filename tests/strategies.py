@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from cfrs import BinaryMatrix, Dag
+from cfrs import BinaryMatrix
+
+from tests.helpers import Dag
 
 
 @st.composite

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 import cfrs.containment
 from cfrs import (
     ContainmentDigraph,
-    Dag,
     build_containment,
     find_conflict,
     gen_block_tree,
@@ -21,6 +20,7 @@ from cfrs.matrix import BinaryMatrix, ConflictWitness, bits_of, mask_of, transpo
 from tests.helpers import (
     CROSSING_PAIR,
     NESTED_PAIR,
+    Dag,
     dag_arcs,
     differential_corpus,
     duplicate_column,
@@ -157,7 +157,8 @@ def _check_against_reference(dag, arcs, closure):
                tuple(bits_of(dag.in_masks[v])) == tuple(sorted(u for u, w in arcs if w == v))
                for v in range(n))
     assert dag.reach == _masks(n, closure, 0)
-    assert dag.topological_order == reference_kahn_order(n, arcs)
+    if isinstance(dag, Dag):  # a containment digraph keeps no order
+        assert dag.topological_order == reference_kahn_order(n, arcs)
     assert height(dag) == reference_height(n, arcs)
     assert width(dag) == reference_width(n, closure)
     if n <= 9:
@@ -175,7 +176,7 @@ def test_containment_masks_match_pairwise_reference():
 
 def test_containment_masks_match_pairwise_reference_across_words():
     # supports and closure masks of more than one 64-bit word, dense and
-    # sparse: the holder AND, the closure lists and Dag.out take both of
+    # sparse: the holder AND, the closure lists and out take both of
     # select's paths
     wide = [nested_prefix(130, random.Random(130)),
             gen_random(70, 130, 0.03, 0), gen_random(70, 130, 0.5, 0),

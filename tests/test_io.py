@@ -103,14 +103,6 @@ def test_digraph_dot_labels_supports():
     assert "v0 -> v1;" in dot
 
 
-def test_plain_dag_dot_uses_numeric_labels():
-    from cfrs import Dag
-
-    dot = digraph_to_dot(Dag(2, [(0, 1)]))
-    assert 'v0 [label="0"];' in dot
-    assert "v0 -> v1;" in dot
-
-
 def test_phylo_dot_contains_rows_and_edges():
     dot = phylo_to_dot(build_phylogeny(gen_block_tree(2, 2)))
     assert dot.count("shape=box") == 2

@@ -112,14 +112,14 @@ def test_column_support():
 def test_reduce_columns_collapses_duplicates():
     m = BinaryMatrix(((1, 1, 0), (1, 1, 1)))
     red = reduce_columns(m)
-    assert red.reduced.n == 2
+    assert red.supports == (0b11, 0b10)
     assert red.class_of == (0, 0, 1)
     assert red.representative == (0, 2)
 
 
 def test_reduce_columns_identity_on_distinct():
     red = reduce_columns(CROSSING_PAIR)
-    assert red.reduced is CROSSING_PAIR
+    assert red.supports is CROSSING_PAIR.col_masks
     assert red.class_of == (0, 1)
 
 
@@ -311,10 +311,10 @@ def test_equality_and_hash_are_by_shape_and_entries():
     assert NESTED_PAIR != IDENTITY_2
     assert BinaryMatrix(((1, 1),)) != BinaryMatrix(((1,), (1,)))
     assert len({NESTED_PAIR, BinaryMatrix(((1, 1), (0, 1)))}) == 1
-    # the reduced matrix is just the distinct supports, nothing else kept
+    # the reduction keeps just the distinct supports, as bitsets
     matrix = BinaryMatrix(((1, 1, 0), (1, 1, 1)))
     supports = tuple(dict.fromkeys(matrix.col_masks))
-    assert reduce_columns(matrix).reduced == BinaryMatrix.from_col_masks(matrix.m, supports)
+    assert reduce_columns(matrix).supports == supports
 
 
 def test_messages_name_rows_and_columns_by_position():

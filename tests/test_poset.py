@@ -10,7 +10,6 @@ from hypothesis import given, settings
 import cfrs
 from cfrs import (
     BudgetError,
-    Dag,
     build_containment,
     evaluate,
     gen_block_tree,
@@ -33,6 +32,7 @@ from cfrs.poset import (
 from tests.helpers import (
     BRUTE_FORCE_CAP,
     GAP_DAG,
+    Dag,
     brute_force_max_tower,
     brute_force_min_price,
     dag_arcs,
@@ -324,8 +324,7 @@ def test_min_price_and_antichain_match_the_reference_algorithm():
 def test_maximum_antichain_by_reach_size_needs_no_topological_order():
     # vertices join in reach-size order, not Kahn's: the Koenig antichain
     # depends only on the members, so it is the reference's (also checked on
-    # random DAGs above), and a containment digraph never builds its
-    # topological order or in-masks
+    # random DAGs above), and a containment digraph never builds its in-masks
     rng = random.Random(2828)
     matrices = [gen_random_laminar(m, k, seed) for m, k in ((20, 30), (100, 150))
                 for seed in range(3)]
@@ -335,7 +334,6 @@ def test_maximum_antichain_by_reach_size_needs_no_topological_order():
     for matrix in matrices:
         digraph = build_containment(matrix)
         antichain = maximum_antichain(digraph)
-        assert "topological_order" not in digraph.__dict__
         assert "in_masks" not in digraph.__dict__
         assert antichain == mask_of(reference_maximum_antichain(digraph))
 
