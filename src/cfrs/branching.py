@@ -30,7 +30,9 @@ from .matrix import (
     verify_row_split,
 )
 
-DEFAULT_BUDGET = 10**8
+# options the exact search may try; one takes 3-9 us under CPython 3.11 on a
+# 2-vCPU Xeon, so a refusal comes within a few seconds
+DEFAULT_BUDGET = 5 * 10**5
 
 # an undecided chooser of the exact search: its support and the heads where
 # it can hold lone rows (see _lone_rows_bound)
@@ -340,13 +342,14 @@ def _exact_minimize(digraph: ContainmentDigraph, distinct: bool,
     optimal leaf of the full search order, the one a single full search
     would return.  Both passes run on one state, changed and restored in
     place.
+
+    ``budget`` caps the options tried: each choice a chooser tries, in pass
+    1, the descent and its subsearches alike, is one.  The option past it
+    raises BudgetError, naming the best cost so far and the root's lower
+    bound, and in the descent that the optimum is proven.  A digraph with
+    no arcs has no choosers, so it solves at any budget.
     """
     k = digraph.n
-    states = branching_state_count(digraph)
-    if states > budget:
-        raise BudgetError(
-            f"{states} branchings exceed the enumeration budget of {budget}"
-        )
     cost: Callable[[int], int] = bool if distinct else int.bit_count
     supports = digraph.supports
     out_nbrs = [digraph.out(v) for v in range(k)]
@@ -379,9 +382,22 @@ def _exact_minimize(digraph: ContainmentDigraph, distinct: bool,
     else:
         beyond = partial(_lone_rows_bound, holders, cover, suf2, pending)
 
+    # the budget's count, and what a refusal reports: the best leaf cost
+    # so far (at first the greedy's) and, once pass 1 is done, the optimum
+    options, incumbent, proven = 0, bound - 1, False
+
     def decide(t: int, c: Optional[int]) -> int:
         """Let choosers[t] choose c (None for no arc); return the change
-        of the charged total."""
+        of the charged total.  Each call is one option against the budget."""
+        nonlocal options
+        options += 1
+        if options > budget:
+            unit = "distinct rows" if distinct else "rows"
+            proof = (f", and {incumbent} {unit} is proven optimal, but the first optimal "
+                     f"branching is not yet chosen" if proven else "")
+            raise BudgetError(f"exact search tried {budget} option{'s' * (budget != 1)}, "
+                              f"its budget: the best branching so far has {incumbent} "
+                              f"{unit}, the root lower bound is {floor}{proof}")
         v = choosers[t]
         choice[v] = c
         if c is not None:
@@ -412,12 +428,14 @@ def _exact_minimize(digraph: ContainmentDigraph, distinct: bool,
         below ``bound`` becomes the incumbent, and the search stops once it
         costs at most ``floor``; with ``bound`` = ``floor`` + 1 that is the
         first leaf costing at most ``floor``.  The state is restored."""
+        nonlocal incumbent
         best = None
         t = t0
         while t >= t0:
             if t == depth:
                 if acc[t] < bound:
                     best, bound = tuple(choice), acc[t]
+                    incumbent = bound
                     if total(best) != bound:
                         raise InternalError(f"exact search charged {bound} for a "
                                             f"branching costing {total(best)}")
@@ -449,6 +467,7 @@ def _exact_minimize(digraph: ContainmentDigraph, distinct: bool,
     found, opt = search(0, bound, floor)
     if found is None:
         raise InternalError("exact search ended without reaching its primed bound")
+    proven = True
     # pass 2: ``found`` is W, and ``into[h]`` the set of vertices choosing h in W
     def chosen_by(branching: Sequence[Optional[int]]) -> list[int]:
         masks = [0] * k
@@ -485,7 +504,8 @@ def exact_min_uncovered(digraph: ContainmentDigraph,
     """Branching minimizing the number of uncovered pairs, with that number.
 
     This equals the minimum row count over all conflict-free row splits of
-    the digraph's matrix.
+    the digraph's matrix.  Raises BudgetError once the search has tried
+    ``budget`` options (see :func:`_exact_minimize`).
     """
     return _exact_minimize(digraph, False, budget)
 
@@ -493,7 +513,8 @@ def exact_min_uncovered(digraph: ContainmentDigraph,
 def exact_min_irreducible(digraph: ContainmentDigraph,
                           budget: int = DEFAULT_BUDGET) -> tuple[Branching, int]:
     """Branching minimizing the number of irreducible vertices, with that
-    number: the minimum distinct-row count over all conflict-free splits."""
+    number: the minimum distinct-row count over all conflict-free splits.
+    Raises BudgetError once the search has tried ``budget`` options."""
     return _exact_minimize(digraph, True, budget)
 
 

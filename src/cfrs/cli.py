@@ -82,8 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="linear")
     p.add_argument("--out", help="write the split to this file")
     p.add_argument("--json", help="write the report to this file")
-    p.add_argument("--budget", help="branching budget for exact methods, a "
-                   "non-negative integer (default: CFRS_BUDGET or 10^8)")
+    p.add_argument("--budget", help="options the exact methods may try, a "
+                   "non-negative integer; each takes a few microseconds (default: "
+                   f"CFRS_BUDGET or {DEFAULT_BUDGET})")
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a split file against a matrix")
@@ -154,7 +155,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _budget(args) -> int:
-    """The exact methods' budget from --budget, else CFRS_BUDGET, else 10^8."""
+    """The exact methods' budget from --budget, else CFRS_BUDGET, else
+    DEFAULT_BUDGET."""
     name, text = "--budget", args.budget
     if text is None:
         name, text = "CFRS_BUDGET", os.environ.get("CFRS_BUDGET", str(DEFAULT_BUDGET))

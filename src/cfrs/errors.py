@@ -21,7 +21,8 @@ class ConflictError(CfrsError):
 
 
 class BudgetError(CfrsError):
-    """An exact solver or brute-force oracle would exceed its size budget."""
+    """An exact search ran out of its budget of options tried, or a
+    brute-force oracle would exceed its size cap."""
 
 
 class InternalError(CfrsError):

@@ -3,8 +3,8 @@ digraph, fed to one pipeline that splits, verifies, checks the counts the
 method claimed and reports the instance statistics (height, width, distinct
 columns), so the approximation guarantees are self-documenting:
 
-* ``exact-rows`` / ``exact-distinct``: budgeted exhaustive search over
-  branchings, globally optimal.
+* ``exact-rows`` / ``exact-distinct``: branch-and-bound over branchings,
+  globally optimal, budgeted by the options it tries.
 * ``linear``: optimal among path-shaped (linear) branchings, computed via
   the min-price chain partition; the tower value certifies optimality
   within that class.
@@ -137,8 +137,8 @@ def solve_exact(matrix: BinaryMatrix, objective: str = "rows",
     """Globally optimal split for the chosen objective.
 
     ``objective`` is "rows" (minimum row count) or "distinct" (minimum
-    distinct-row count).  Raises BudgetError when the branching count
-    exceeds the budget.
+    distinct-row count).  Raises BudgetError once the search has tried
+    ``budget`` options, each one choice of one vertex, without finishing.
     """
     return _solve(matrix, f"exact-{objective}", _exact(objective, budget))
 

@@ -33,7 +33,6 @@ from cfrs import (
     verify_row_split,
 )
 from cfrs.branching import (
-    DEFAULT_BUDGET,
     _decision_order,
     _lone_heads_bound,
     _lone_rows_bound,
@@ -73,6 +72,13 @@ from tests.helpers import (
 
 D_CROSS = build_containment(CROSSING_PAIR)
 D_NEST = build_containment(NESTED_PAIR)
+
+
+# the reference branch-and-bound runs in test time on digraphs with at
+# most this many branchings
+REFERENCE_STATE_CAP = 10**8
+# options: more than any search in these tests tries
+LARGE_BUDGET = 10**9
 
 
 def enumerable(digraph, cap=1500):
@@ -353,39 +359,39 @@ def test_exact_matches_reference_on_differential_corpus():
                                 (1, 1, 1, 0, 0, 1), (1, 0, 1, 0, 0, 1)))
     # On these two, a descent that skips the arcs before the witness's but
     # runs its subsearches from the witness's arcs onward ends at a later
-    # distinct optimum.  The first has 121,651,200 branchings, beyond the
-    # default budget, so both are solved with a budget of their own size
+    # distinct optimum.  The first has 121,651,200 branchings, over the
+    # reference's cap, so both are kept whatever their count
     witness_first = [BinaryMatrix(rows.split()) for rows in (
         "0011101001110010 1101100100010111 0100001001011010 0000100010011001 0101111010111101",
         "1010001010101011 1110111000000100 1000000100101010 0000000001010100 0011000110100100")]
     solved = 0
     for matrix in differential_corpus() + [shared_head] + witness_first:
         d = build_containment(matrix)
-        budget = branching_state_count(d)
-        if budget > DEFAULT_BUDGET and matrix not in witness_first:
+        if branching_state_count(d) > REFERENCE_STATE_CAP and matrix not in witness_first:
             continue
         for solve, cost in ((exact_min_uncovered, int.bit_count),
                             (exact_min_irreducible, bool)):
             expected = reference_exact_minimize(d, cost)
-            assert solve(d, budget=budget) == expected
+            assert solve(d, budget=LARGE_BUDGET) == expected
             if cost is bool:
                 assert reference_lookahead_minimize(d, cost) == expected
             solved += 1
     assert solved >= 200
 
 
-def test_exact_on_laminar_30x40_beyond_the_default_budget():
+def test_exact_on_laminar_30x40_at_the_default_budget():
     # the row optimum of a conflict-free matrix is m, and the distinct
     # optimum lies between the source count and the distinct-row count.
     # Distinct optima tie often here, so the descent's one-move shortcut
-    # fires, and it must still end at the first optimum
+    # fires, and it must still end at the first optimum.  About 10^25
+    # branchings, but at most 277 options
     for seed in range(3):
         matrix = gen_random_laminar(30, 40, seed)
         d = build_containment(matrix)
-        states = branching_state_count(d)
+        assert branching_state_count(d) > 10**20
         sources = sum(1 for mask in d.in_masks if mask == 0)
-        assert exact_min_uncovered(d, budget=states)[1] == 30
-        found = exact_min_irreducible(d, budget=states)
+        assert exact_min_uncovered(d)[1] == 30
+        found = exact_min_irreducible(d)
         assert found == reference_lookahead_minimize(d, bool)
         assert sources <= found[1] <= count_distinct_rows(matrix)
 
@@ -496,24 +502,24 @@ def test_lone_holder_bound_at_the_root_of_ib_reductions(monkeypatch):
                      else _lone_rows_bound(*args))
             assert sum(charge) == len(graph.edges) and bound == extra
             seen.clear()
-            solve(d, budget=branching_state_count(d))
+            solve(d)
             assert seen[0] == bound  # the search's first bound is the root's
 
 
-def test_exact_on_ib_prisms_beyond_the_default_budget():
+def test_exact_on_ib_prisms_at_the_default_budget():
     # 2|E| rows and |E| + tau distinct rows, as on the benchmark's ib inputs;
-    # the lone-holder bound proves the row optimum at the root
-    for n in (6, 7):
+    # the lone-holder bound proves the row optimum at the root.  3^18 to
+    # 3^24 branchings, but at most 331 options
+    for n in (6, 7, 8):
         graph = prism(n, 1)
         matrix = gen_ib_reduction(graph)
         d = build_containment(matrix)
-        states = branching_state_count(d)
-        assert states > DEFAULT_BUDGET
+        assert branching_state_count(d) >= 3**18
         tau = brute_force_vertex_cover(graph)
         for solve, kept, optimum in (
                 (exact_min_uncovered, uncovered_pairs, 2 * len(graph.edges)),
                 (exact_min_irreducible, irreducible_vertices, len(graph.edges) + tau)):
-            branching, value = solve(d, budget=states)
+            branching, value = solve(d)
             assert value == len(kept(d, branching)) == optimum
             assert verify_row_split(matrix, branching_split(matrix, branching, d)).ok
 
@@ -547,7 +553,7 @@ def test_exact_first_optima_beyond_the_reference():
     )
     for matrix, solve, kept, optimum, digest in pinned:
         d = build_containment(matrix)
-        branching, value = solve(d, budget=branching_state_count(d))
+        branching, value = solve(d)
         assert value == len(kept(d, branching)) == optimum
         assert hashlib.sha256(repr(branching.choice).encode()).hexdigest() == digest
 
@@ -606,18 +612,70 @@ def test_exact_search_runs_deeper_than_the_recursion_limit():
     matrix = gen_block_tree(2, 10)
     d = build_containment(matrix)
     assert d.n > sys.getrecursionlimit()
-    states = branching_state_count(d)
     for solve, kept in ((exact_min_uncovered, uncovered_pairs),
                         (exact_min_irreducible, irreducible_vertices)):
-        branching, value = solve(d, budget=states)
+        branching, value = solve(d)
         assert value == len(kept(d, branching)) == 512
         assert verify_row_split(matrix, branching_split(matrix, branching, d)).ok
 
 
 def test_exact_budget_error():
+    # the budget counts options tried: bt(3,3) needs 36 of them
     d = build_containment(gen_block_tree(3, 3))
     with pytest.raises(BudgetError):
         exact_min_uncovered(d, budget=10)
+    for solve in (exact_min_uncovered, exact_min_irreducible):
+        assert solve(d, budget=36)[1] == 9
+        with pytest.raises(BudgetError, match="exact search tried 35 options, its budget"):
+            solve(d, budget=35)
+
+
+def test_exact_budget_error_reports_the_search_state():
+    # vc-K4 needs 30 options: pass 1 starts from the greedy's 39 rows and
+    # proves the optimum 35 above the root bound 32, then the descent runs
+    d = build_containment(gen_vc_reduction(k4()))
+    reports = []
+    for budget in (0, 10, 20):
+        with pytest.raises(BudgetError) as refused:
+            exact_min_uncovered(d, budget=budget)
+        reports.append(str(refused.value))
+    assert reports == [
+        "exact search tried 0 options, its budget: the best branching so far has 39 rows, "
+        "the root lower bound is 32",
+        "exact search tried 10 options, its budget: the best branching so far has 36 rows, "
+        "the root lower bound is 32",
+        "exact search tried 20 options, its budget: the best branching so far has 35 rows, "
+        "the root lower bound is 32, and 35 rows is proven optimal, but the first optimal "
+        "branching is not yet chosen"]
+    assert exact_min_uncovered(d, budget=30)[1] == 35
+    with pytest.raises(BudgetError, match="16 distinct rows is proven optimal"):
+        exact_min_irreducible(build_containment(gen_block_tree(2, 5)), budget=89)
+
+
+def test_exact_without_arcs_solves_at_budget_zero():
+    # no vertex has an out-arc, so the search tries no option
+    for matrix in (CROSSING_PAIR, BinaryMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))):
+        d = build_containment(matrix)
+        assert not any(d.out_masks)
+        assert exact_min_uncovered(d, budget=0) == (Branching.empty(d.n), sum(
+            mask.bit_count() for mask in d.supports))
+        assert exact_min_irreducible(d, budget=0)[1] == d.n
+    with pytest.raises(BudgetError, match="tried 0 options"):
+        exact_min_uncovered(D_NEST, budget=0)
+
+
+def test_exact_on_block_trees_at_the_default_budget():
+    # m = d^(h-1) rows, one per leaf block, and as many distinct rows:
+    # 10^18 to 10^43 branchings, 90 to 186 options
+    for d_, h in ((2, 5), (3, 4), (2, 6)):
+        matrix = gen_block_tree(d_, h)
+        d = build_containment(matrix)
+        assert branching_state_count(d) > 10**18
+        for solve, kept in ((exact_min_uncovered, uncovered_pairs),
+                            (exact_min_irreducible, irreducible_vertices)):
+            branching, value = solve(d)
+            assert value == len(kept(d, branching)) == matrix.m == d_ ** (h - 1)
+            assert verify_row_split(matrix, branching_split(matrix, branching, d)).ok
 
 
 def test_exact_is_deterministic():
