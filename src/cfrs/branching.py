@@ -23,7 +23,6 @@ from .matrix import (
     RowSplit,
     _distinct_supports,
     _laminar_tree,
-    bits_of,
     reduce_columns,
     select,
     transpose,
@@ -92,7 +91,9 @@ def branching_split(matrix: BinaryMatrix, branching: Branching,
     # column mask of everything reachable along the branching, incl. v
     # itself; choice targets have strictly larger supports, so fill the
     # memo by decreasing support size
-    reach_cols = list(transpose([1 << v for v in digraph.class_of], digraph.n))
+    reach_cols = [0] * digraph.n
+    for j, v in enumerate(digraph.class_of):
+        reach_cols[v] |= 1 << j
     for v in sorted(range(digraph.n), key=lambda u: supports[u].bit_count(), reverse=True):
         nxt = branching.choice[v]
         if nxt is not None:
@@ -138,66 +139,66 @@ def branching_state_count(digraph: ContainmentDigraph) -> int:
     """Number of branchings: the product over vertices of out-degree + 1."""
     total = 1
     for v in range(digraph.n):
-        total *= digraph.out_masks[v].bit_count() + 1
+        total *= digraph.reach[v].bit_count() + 1
     return total
 
 
-def _decision_order(digraph: ContainmentDigraph) -> list[int]:
-    """Topological order that gets arc heads fully decided early.
+def _decision_order(digraph: ContainmentDigraph,
+                    out_nbrs: Sequence[Sequence[int]]) -> list[int]:
+    """The choosers, the vertices with an out-arc, in a topological order
+    that gets arc heads fully decided early.
 
-    Greedy Kahn: among available vertices take the one whose emission
+    Greedy Kahn: among available choosers take the one whose emission
     brings some head closest to having all its in-neighbors placed, the
     smallest such vertex on a tie.  That is the smallest (pending[u] - 1, w)
-    over the arcs (w, u) out of available vertices, or (n + 1, w) for an
-    available sink w.  A heap holds these pairs: each time a head's pending
-    count or its smallest available in-neighbor changes, the head pushes
-    its current pair, and a popped pair is skipped once it is outdated.
+    over the arcs (w, u) out of available vertices.  A sink is no vertex's
+    in-neighbor, so placing it would change no pair, and it is left out.
+    A heap holds these pairs: each time a head's pending count or its
+    smallest available in-neighbor changes, the head pushes its current
+    pair, and a popped pair is skipped once it is outdated.
     """
     n = digraph.n
-    out_masks, in_masks = digraph.out_masks, digraph.in_masks
-    outs = [list(bits_of(mask)) for mask in out_masks]
+    in_masks = digraph.in_masks
     pending = [mask.bit_count() for mask in in_masks]
-    # a pair (key, w) for head u is the int (key << 2b) | (w << b) | (u + 1),
+    # a pair (key, w) for head u is the int (key << 2b) | (w << b) | u,
     # which the heap compares in C, unlike a tuple
-    b = (n + 1).bit_length()
+    b = n.bit_length()
     low = (1 << b) - 1
     heap: list[int] = []
     push, pop = heapq.heappush, heapq.heappop
     available = 0
     # a vertex becomes available when its last in-neighbor is placed; it
-    # then offers itself as a sink or to each of its heads
+    # then offers itself to each of its heads
     fresh = [v for v in range(n) if not pending[v]]
     order: list[int] = []
     while True:
         for v in fresh:
             available |= 1 << v
-            if not out_masks[v]:
-                push(heap, (n + 1) << 2 * b | v << b)
-            for u in outs[v]:
+            for u in out_nbrs[v]:
                 ins = in_masks[u] & available
-                push(heap, (pending[u] - 1) << 2 * b | ((ins & -ins).bit_length() - 1) << b
-                     | u + 1)
+                push(heap, (pending[u] - 1) << 2 * b | ((ins & -ins).bit_length() - 1) << b | u)
         if not heap:
             break
         pair = pop(heap)
-        v, u = pair >> b & low, (pair & low) - 1
-        if not available >> v & 1 or (u >= 0 and pair >> 2 * b != pending[u] - 1):
+        v, u = pair >> b & low, pair & low
+        if not available >> v & 1 or pair >> 2 * b != pending[u] - 1:
             fresh = ()
             continue
         order.append(v)
         available ^= 1 << v
         fresh = []
-        for u in outs[v]:
+        for u in out_nbrs[v]:
             pending[u] -= 1
             if pending[u]:
                 ins = in_masks[u] & available
                 if ins:
                     push(heap, (pending[u] - 1) << 2 * b
-                         | ((ins & -ins).bit_length() - 1) << b | u + 1)
+                         | ((ins & -ins).bit_length() - 1) << b | u)
             else:
                 fresh.append(u)
-    if len(order) != n:
-        raise InternalError(f"decision order placed {len(order)} of {n} vertices")
+    choosers = sum(map(bool, out_nbrs))
+    if len(order) != choosers:
+        raise InternalError(f"decision order placed {len(order)} of {choosers} choosers")
     return order
 
 
@@ -353,7 +354,7 @@ def _exact_minimize(digraph: ContainmentDigraph, distinct: bool,
     cost: Callable[[int], int] = bool if distinct else int.bit_count
     supports = digraph.supports
     out_nbrs = [digraph.out(v) for v in range(k)]
-    choosers = [v for v in _decision_order(digraph) if out_nbrs[v]]
+    choosers = _decision_order(digraph, out_nbrs)
 
     def total(choice: tuple[Optional[int], ...]) -> int:
         return sum(map(cost, _uncovered(supports, choice)))

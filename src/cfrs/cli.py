@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import io as formats
@@ -84,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write the report to this file")
     p.add_argument("--budget", help="options the exact methods may try, a "
                    "non-negative integer; each takes a few microseconds (default: "
-                   f"CFRS_BUDGET or {DEFAULT_BUDGET})")
+                   f"{DEFAULT_BUDGET})")
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("verify", help="check a split file against a matrix")
@@ -154,24 +153,22 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _budget(args) -> int:
-    """The exact methods' budget from --budget, else CFRS_BUDGET, else
-    DEFAULT_BUDGET."""
-    name, text = "--budget", args.budget
+def _budget(text: str | None) -> int:
+    """The exact methods' budget from --budget, else DEFAULT_BUDGET."""
     if text is None:
-        name, text = "CFRS_BUDGET", os.environ.get("CFRS_BUDGET", str(DEFAULT_BUDGET))
+        return DEFAULT_BUDGET
     try:
         budget = int(text)
     except ValueError:
         budget = -1
     if budget < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {text!r}")
+        raise ValueError(f"--budget must be a non-negative integer, got {text!r}")
     return budget
 
 
 def _cmd_solve(args) -> int:
     matrix = _load_matrix(args.file)
-    split, report = METHODS[args.method](matrix, _budget(args))
+    split, report = METHODS[args.method](matrix, _budget(args.budget))
     for key, value in report.to_json_dict().items():
         print(f"{key}: {value}")
     print(f"elapsed: {report.elapsed_seconds:.3f}s", file=sys.stderr)

@@ -50,10 +50,11 @@ class ContainmentDigraph:
 
     Vertex i is the support of the i-th distinct column (first-appearance
     order), stored as a bitset over row indices; arcs are all proper
-    inclusions.  ``class_of`` maps original columns to vertices.
+    inclusions, so the out-neighbour bitsets are the closure ``reach``.
+    ``class_of`` maps original columns to vertices.
 
-    The build first runs the sweep of :func:`~cfrs.matrix.build_phylogeny`,
-    in the order ``first_rows`` sets, and keeps its witness as ``conflict``
+    The build first runs the sweep of :func:`~cfrs.matrix.build_phylogeny`
+    over the matrix's ``col_masks`` and keeps its witness as ``conflict``
     (None iff conflict-free): a sort of the k supports plus O(k + m) steps,
     each an operation on an m-bit mask.  A laminar family's supersets of a
     support are its ancestors in that tree, so visiting the supports by
@@ -61,46 +62,43 @@ class ContainmentDigraph:
     pair pays for the holder AND, one AND per (row, support) incidence.
     """
 
-    def __init__(self, supports: tuple[int, ...], n_rows: int,
-                 class_of: tuple[int, ...], first_rows: int):
-        k = len(supports)
-        if len(set(supports)) != k or 0 in supports:
-            raise ValueError("vertex supports must be distinct and nonempty")
-        self.class_of = tuple(class_of)
+    def __init__(self, matrix: BinaryMatrix):
+        red = reduce_columns(matrix)
+        supports, m, k = red.supports, matrix.m, len(red.supports)
         # the sweep walks source columns, so its witness names them
-        tree = _laminar_tree([supports[v] for v in self.class_of], n_rows, first_rows)
+        tree = _laminar_tree(matrix.col_masks, m, _first_rows(matrix))
         self.conflict = tree if isinstance(tree, ConflictWitness) else None
         if self.conflict is not None:  # support i lies in the supports holding its rows
-            holders = transpose(supports, n_rows)
-            out = tuple(reduce(and_, select(holders, mask), -1) ^ (1 << i)
-                        for i, mask in enumerate(supports))
+            holders = transpose(supports, m)
+            reach = tuple(reduce(and_, select(holders, mask), -1) ^ (1 << i)
+                          for i, mask in enumerate(supports))
         else:  # the supersets of a support are its ancestors: parents first
             node_masks, parent, _ = tree
             up = [0] * (k + 1)  # node v's ancestors, bit u for node u
             for v in sorted(range(1, k + 1), key=lambda u: -node_masks[u].bit_count()):
                 up[v] = up[parent[v]] | 1 << parent[v]
-            out = tuple(mask >> 1 for mask in up[1:])  # node v is vertex v - 1
+            reach = tuple(mask >> 1 for mask in up[1:])  # node v is vertex v - 1
         self.n = k
-        self.out_masks = self.reach = out  # transitively closed
-        self.supports = tuple(supports)
-        self.n_rows = n_rows
+        self.reach = reach  # transitively closed: also the out-neighbour bitsets
+        self.supports = supports
+        self.n_rows = m
+        self.class_of = red.class_of
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
-        return transpose(self.out_masks, self.n)
+        return transpose(self.reach, self.n)
 
     @cached_property
     def _vertices(self) -> list[int]:
         return list(range(self.n))
 
     def out(self, v: int) -> tuple[int, ...]:
-        return tuple(select(self._vertices, self.out_masks[v]))
+        return tuple(select(self._vertices, self.reach[v]))
 
     def is_arc(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and 0 <= v < self.n and bool(self.out_masks[u] >> v & 1)
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.reach[u] >> v & 1)
 
 
 def build_containment(matrix: BinaryMatrix) -> ContainmentDigraph:
     """Containment digraph over the distinct column supports of a matrix."""
-    red = reduce_columns(matrix)
-    return ContainmentDigraph(red.supports, matrix.m, red.class_of, _first_rows(matrix))
+    return ContainmentDigraph(matrix)

@@ -177,7 +177,7 @@ def digraph_to_dot(digraph: ContainmentDigraph) -> str:
     lines = ["digraph containment {"]
     lines.extend(f'  v{v} [label="{label}"];' for v, label in enumerate(labels))
     heads = [f"v{v};" for v in range(digraph.n)]
-    for u, mask in enumerate(digraph.out_masks):
+    for u, mask in enumerate(digraph.reach):
         lines.extend(map(f"  v{u} -> ".__add__, select(heads, mask)))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,8 @@
 """Chains, antichains, and minimum-price chain partitions of a DAG.
 
-The functions read only a DAG's ``n``, ``out_masks`` and closure ``reach``
-bitsets; the hints name :class:`cfrs.containment.ContainmentDigraph`, the
-one DAG the pipeline builds, whose ``out_masks`` are its ``reach``.  A
-tower's width is the size of :func:`maximum_antichain`.
+The functions read only a DAG's ``n`` and closure ``reach`` bitsets; the
+hints name :class:`cfrs.containment.ContainmentDigraph`, the one DAG the
+pipeline builds.  A tower's width is the size of :func:`maximum_antichain`.
 
 A chain is a vertex sequence linked by the transitive closure; its price is
 its maximum vertex weight.  A chain partition's price sums the chain prices.
@@ -49,14 +48,15 @@ def _validated_weights(dag: ContainmentDigraph, weights: Sequence[int]) -> tuple
 
 def is_monotone(dag: ContainmentDigraph, weights: Sequence[int]) -> bool:
     """True iff weight(u) <= weight(v) for every arc (u, v), i.e. no vertex
-    has an arc to a vertex strictly lighter than itself."""
+    reaches a vertex strictly lighter than itself: weights that rise along
+    every arc rise along every path."""
     w = _validated_weights(dag, weights)
     lighter: dict[int, int] = {}  # weight -> the vertices strictly lighter
     below = 0
     for v in sorted(range(dag.n), key=w.__getitem__):
         lighter.setdefault(w[v], below)
         below |= 1 << v
-    return not any(map(int.__and__, dag.out_masks, map(lighter.__getitem__, w)))
+    return not any(map(int.__and__, dag.reach, map(lighter.__getitem__, w)))
 
 
 def is_chain(dag: ContainmentDigraph, seq: Sequence[int]) -> bool:

@@ -63,8 +63,9 @@ class Dag:
     """A DAG on vertices 0..n-1 from an arc list, for the tests' general DAGs.
 
     It has what the library reads off a :class:`ContainmentDigraph`: ``n``,
-    out- and in-neighbour bitsets, the closure ``reach`` and ``out``; its
-    ``topological_order`` and cycle check are :func:`reference_kahn_order`'s."""
+    the in-neighbour bitsets, the closure ``reach`` and the out-neighbours
+    ``out``; its ``topological_order`` and cycle check are
+    :func:`reference_kahn_order`'s."""
 
     def __init__(self, n: int, arcs=()):
         if n < 0:
@@ -80,15 +81,15 @@ class Dag:
         self.topological_order = reference_kahn_order(n, arcs)
         if len(self.topological_order) != n:
             raise ValueError("digraph contains a cycle")
-        self.n, self.out_masks = n, tuple(out)
-        self.in_masks = transpose(self.out_masks, n)
+        self.n, self._out = n, tuple(out)
+        self.in_masks = transpose(self._out, n)
         reach = [0] * n
         for v in reversed(self.topological_order):
             reach[v] = reduce(or_, select(reach, out[v]), out[v])
         self.reach = tuple(reach)
 
     def out(self, v: int) -> tuple[int, ...]:
-        return tuple(bits_of(self.out_masks[v]))
+        return tuple(bits_of(self._out[v]))
 
 
 # 4-vertex gap instance {a},{b},{a,b},{b,c} with inclusion arcs
@@ -232,8 +233,8 @@ def count_distinct_cols(matrix: BinaryMatrix) -> int:
 
 
 def dag_arcs(dag: Dag) -> frozenset[tuple[int, int]]:
-    """The arcs (u, v) of a DAG, read off its out-neighbour bitsets."""
-    return frozenset((u, v) for u in range(dag.n) for v in bits_of(dag.out_masks[u]))
+    """The arcs (u, v) of a DAG, read off its out-neighbour tuples."""
+    return frozenset((u, v) for u in range(dag.n) for v in dag.out(u))
 
 
 def tree_k(tree: PhyloTree) -> int:
@@ -406,9 +407,10 @@ def elementary_arcs(dag: Dag) -> frozenset[tuple[int, int]]:
 
     On a transitively closed digraph this is the transitive reduction.
     """
-    out, in_ = dag.out_masks, dag.in_masks
+    in_ = dag.in_masks
+    out = [mask_of(dag.out(u)) for u in range(dag.n)]
     return frozenset(
-        (u, v) for u in range(dag.n) for v in bits_of(out[u]) if not out[u] & in_[v]
+        (u, v) for u in range(dag.n) for v in dag.out(u) if not out[u] & in_[v]
     )
 
 

@@ -656,7 +656,7 @@ def test_exact_without_arcs_solves_at_budget_zero():
     # no vertex has an out-arc, so the search tries no option
     for matrix in (CROSSING_PAIR, BinaryMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))):
         d = build_containment(matrix)
-        assert not any(d.out_masks)
+        assert not any(d.reach)
         assert exact_min_uncovered(d, budget=0) == (Branching.empty(d.n), sum(
             mask.bit_count() for mask in d.supports))
         assert exact_min_irreducible(d, budget=0)[1] == d.n
@@ -715,6 +715,10 @@ def test_branching_split_matches_per_cell_reference():
         gen_random_laminar(m, k, seed)
         for seed in range(6) for m, k in ((6, 9), (10, 15), (14, 20))
     ]
+    # wide, with repeated columns: each column mask spans several words
+    matrices += [duplicate_column(gen_random_laminar(40, 70, seed), 3 * seed)
+                 for seed in range(3)]
+    matrices += [gen_random(20, 130, 0.1, seed) for seed in range(3)]
     checked = 0
     for matrix in matrices:
         d = build_containment(matrix)
@@ -775,7 +779,8 @@ def test_exact_incumbent_check_survives_python_optimize():
         "import cfrs.branching",
         "from cfrs import BinaryMatrix, InternalError, build_containment, exact_min_uncovered",
         "print('debug:', __debug__)",
-        "cfrs.branching._decision_order = lambda dag: list(range(dag.n)) * 2",
+        "cfrs.branching._decision_order = "
+        "lambda dag, out_nbrs: [v for v in range(dag.n) if out_nbrs[v]] * 2",
         "fork = build_containment(BinaryMatrix(((1, 1, 1), (0, 1, 0), (0, 0, 1))))",
         "try:",
         "    exact_min_uncovered(fork)",
@@ -800,4 +805,6 @@ def test_decision_order_matches_rescanning_reference():
                  for gen in (gen_vc_reduction, gen_ib_reduction)]
     for matrix in matrices:
         digraph = build_containment(matrix)
-        assert _decision_order(digraph) == reference_decision_order(digraph)
+        out_nbrs = [digraph.out(v) for v in range(digraph.n)]
+        assert _decision_order(digraph, out_nbrs) == [
+            v for v in reference_decision_order(digraph) if out_nbrs[v]]

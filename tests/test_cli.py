@@ -177,7 +177,7 @@ def test_bad_utf8_past_the_first_chunk_exits_1(tmp_path, capsys):
     assert capsys.readouterr().out == "accept\n"
 
 
-def test_budget_exit_code(block_tree_file, capsys, monkeypatch):
+def test_budget_exit_code(block_tree_file, capsys):
     # bt(3,3) needs 36 options
     assert main(["solve", str(block_tree_file), "--method", "exact-rows",
                  "--budget", "5"]) == 2
@@ -187,8 +187,6 @@ def test_budget_exit_code(block_tree_file, capsys, monkeypatch):
     assert main(["solve", str(block_tree_file), "--method", "exact-rows",
                  "--budget", "36"]) == 0
     assert "rows: 9\n" in capsys.readouterr().out
-    monkeypatch.setenv("CFRS_BUDGET", "5")
-    assert main(["solve", str(block_tree_file), "--method", "exact-rows"]) == 2
 
 
 def test_invalid_budget_exits_one_naming_its_source(block_tree_file, capsys, monkeypatch):
@@ -196,12 +194,14 @@ def test_invalid_budget_exits_one_naming_its_source(block_tree_file, capsys, mon
     for budget in ("-3", "abc", "1.5", ""):
         assert main(solve + ["--budget", budget]) == 1
         assert "--budget must be a non-negative integer" in capsys.readouterr().err
-    for budget in ("-1", "abc"):
-        monkeypatch.setenv("CFRS_BUDGET", budget)
-        assert main(solve) == 1
-        assert "CFRS_BUDGET must be a non-negative integer" in capsys.readouterr().err
-    # --budget wins over the variable, and 0 is a valid budget that refuses
+    # 0 is a valid budget that refuses
     assert main(solve + ["--budget", "0"]) == 2
+    capsys.readouterr()
+    # the budget comes from --budget alone: no variable is read, and linear
+    # has no budget
+    monkeypatch.setenv("CFRS_BUDGET", "-1")
+    assert main(["solve", str(block_tree_file), "--method", "linear"]) == 0
+    assert main(solve) == 0
     capsys.readouterr()
 
 

@@ -50,13 +50,11 @@ def test_dag_rejects_cycles_and_bad_arcs():
         Dag(2, [(0, 2)])
     with pytest.raises(ValueError, match="vertex count must be non-negative"):
         Dag(-1)
-    for supports in ((0b01, 0b01), (0b01, 0)):  # repeated, empty
-        with pytest.raises(ValueError, match="vertex supports must be distinct and nonempty"):
-            ContainmentDigraph(supports, 1, (0, 1), 0b1)
 
 
 def test_build_containment_nested():
     d = build_containment(NESTED_PAIR)
+    assert ContainmentDigraph(NESTED_PAIR).reach == d.reach == (0b10, 0b00)
     assert d.n == 2
     assert d.supports == (0b01, 0b11)
     assert dag_arcs(d) == frozenset({(0, 1)})
@@ -151,7 +149,6 @@ def _masks(n, arcs, head):
 def _check_against_reference(dag, arcs, closure):
     n = dag.n
     assert dag_arcs(dag) == arcs
-    assert dag.out_masks == _masks(n, arcs, 0)
     assert dag.in_masks == _masks(n, arcs, 1)
     assert all(dag.out(v) == tuple(sorted(w for u, w in arcs if u == v)) and
                tuple(bits_of(dag.in_masks[v])) == tuple(sorted(u for u, w in arcs if w == v))
@@ -221,11 +218,11 @@ def test_tree_and_holder_and_builds_match_pairwise_reference(monkeypatch):
         supports, arcs = reference_containment(matrix)
         d = build_containment(matrix)
         assert d.supports == supports
-        assert d.out_masks == _masks(d.n, arcs, 0)
-        built.append(d.out_masks)
+        assert d.reach == _masks(d.n, arcs, 0)
+        built.append(d.reach)
     monkeypatch.setattr(cfrs.containment, "_laminar_tree",
                         lambda supports, m, first: ConflictWitness(0, 0, (0, 0, 0)))
-    assert [build_containment(matrix).out_masks for matrix in laminar + crossed] == built
+    assert [build_containment(matrix).reach for matrix in laminar + crossed] == built
 
 
 def test_only_a_crossing_pair_reaches_the_holder_and(monkeypatch):
